@@ -38,8 +38,10 @@ def _load_dataset(path: str) -> simulate.Dataset:
         return simulate.Dataset.load(path)
     except FileNotFoundError as e:
         raise DataError(str(e)) from e
-    except (KeyError, ValueError, json.JSONDecodeError) as e:
+    except (KeyError, json.JSONDecodeError) as e:
         raise DataError(f"corrupt dataset manifest: {e}") from e
+    except ValueError as e:
+        raise DataError(f"corrupt dataset: {e}") from e
 
 
 def _apply_config_file(args):

@@ -131,9 +131,10 @@ def _pick_interval(curve, time_s, intervals):
 def _record_features(record, pipe: PipelineConfig, kinds: tuple[str, ...]) -> dict:
     spec = tfr.spectrogram(record, pipe.stft)
     # The sparse-trajectory decomposition is defined on the record as
-    # measured; recentering belongs to the segment-based pipelines.
+    # measured; recentering belongs to the segment-based pipelines, so a
+    # request for trajectories alone skips it.
     raw_spec = spec
-    if pipe.recenter:
+    if pipe.recenter and set(kinds) - {"trajectory"}:
         curve = segmentation.smooth(segmentation.pbc(spec, pipe.pbc), pipe.pbc.smooth_len)
         intervals = segmentation.detect(curve, spec.time_s, pipe.pbc)
         if intervals:

@@ -408,6 +408,12 @@ class Dataset:
 
     @classmethod
     def load(cls, directory: str | Path) -> "Dataset":
+        """Read a dataset written by ``save``.
+
+        Raises ``ValueError`` for a record whose sample count differs from
+        the manifest's duration times sample rate, or that holds a
+        non-finite sample.
+        """
         directory = Path(directory)
         meta_path = directory / "meta.json"
         if not meta_path.exists():
@@ -429,6 +435,12 @@ class Dataset:
                 snr_db=entry["snr"],
                 seed=entry["seed"],
             )
+            if len(samples) != cfg.n_samples:
+                raise ValueError(
+                    f"{path} holds {len(samples)} samples, expected {cfg.n_samples}"
+                )
+            if not np.isfinite(samples).all():
+                raise ValueError(f"{path} holds non-finite samples")
             active = entry.get("active")
             ds.records.append(
                 IQRecord(

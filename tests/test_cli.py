@@ -1,6 +1,7 @@
 """Command-line flows, in process: exit codes, outputs, config overlay."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -173,6 +174,21 @@ class TestEval:
         assert payload["pipeline"]["features"] == "envelope"
         assert out_csv.read_text().startswith(",a,b,c,d,e,f\n")
         assert "overall accuracy" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [lambda x: x[: len(x) // 2], lambda x: np.where(np.arange(len(x)) == 99, np.nan, x)],
+        ids=["truncated", "nan"],
+    )
+    def test_bad_record_is_data_error(self, tiny_dataset_dir, tmp_path, capsys, corrupt):
+        ds = tmp_path / "ds"
+        shutil.copytree(tiny_dataset_dir, ds)
+        path = first_iq(ds)
+        corrupt(np.fromfile(path, dtype="<c8")).astype("<c8").tofile(path)
+        rc, out_json, _ = self.run_eval(ds, tmp_path)
+        assert rc == 3
+        assert path.name in capsys.readouterr().err
+        assert not out_json.exists()
 
     def test_bad_classifier_is_config_error(self, tiny_dataset_dir, tmp_path):
         rc = main(["eval", "--in", str(tiny_dataset_dir), "--classifier", "tree"])

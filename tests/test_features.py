@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.spatial.distance import cdist
 
 from mdgest.envelope import EnvelopePair
 from mdgest.features import (
+    KMEANS_TOL,
     EmpiricalFeatures,
     Trajectory,
+    _lloyd,
     central_trajectory,
     empirical,
     trajectory,
@@ -53,6 +57,75 @@ def greedy_oracle(power, time_s, freq_hz, n_points, band_hz, suppress):
         rows.append((0.0, 0.0, 0.0))
     pts = np.array(rows)
     return pts[np.argsort(-pts[:, 2], kind="stable")], padded
+
+
+def kmeans_once_oracle(x, k, rng, stats):
+    """One seeded K-means restart, literally: cdist, argmin, member means."""
+    uniq = np.unique(x, axis=0)
+    if len(uniq) >= k:
+        centers = uniq[rng.choice(len(uniq), size=k, replace=False)]
+    else:
+        centers = x[rng.choice(len(x), size=k, replace=True)].astype(float)
+    return lloyd_oracle(x, centers, stats)
+
+
+def lloyd_oracle(x, centers, stats):
+    """Lloyd's iterations of one restart from the given centres."""
+    k = len(centers)
+    for _ in range(300):
+        d = cdist(x, centers)
+        assign = d.argmin(axis=1)
+        new = centers.copy()
+        for j in range(k):
+            members = x[assign == j]
+            if len(members):
+                new[j] = members.mean(axis=0)
+            else:
+                stats["revived"] += 1
+                new[j] = x[d.min(axis=1).argmax()]
+        shift = np.abs(new - centers).max()
+        centers = new
+        if shift <= 1e-6:
+            break
+    d = cdist(x, centers)
+    assign = d.argmin(axis=1)
+    inertia = float((d[np.arange(len(x)), assign] ** 2).sum())
+    return centers, assign, inertia
+
+
+def central_oracle(trajectories, n_points, seed):
+    """Central trajectory from sequential restarts, plus what the run did."""
+    pooled = np.vstack([t.normalized_tf() for t in trajectories])
+    weights = np.concatenate([t.points[:, 2] for t in trajectories])
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0])))
+    stats = {"revived": 0, "restarts_run": 0}
+    best = None
+    for _ in range(50):
+        stats["restarts_run"] += 1
+        centers, assign, inertia = kmeans_once_oracle(pooled, n_points, rng, stats)
+        if best is None or inertia < best[2] - 1e-15:
+            best = (centers, assign, inertia)
+        if best[2] == 0.0:
+            break
+    centers, assign, _ = best
+    rows = []
+    for j in range(n_points):
+        members = assign == j
+        amp = float(weights[members].mean()) if members.any() else 0.0
+        rows.append((centers[j, 0] * 5.0, centers[j, 1] * 500.0, amp))
+    rows = np.array(rows)
+    return rows[np.argsort(-rows[:, 2], kind="stable")], stats
+
+
+def grid_trajectories(rng, n_traj, n_pts, t_step, f_step, t_max, f_max):
+    """Trajectories whose points lie on a (time, frequency) grid, so the
+    pooled set has duplicates and equidistant points."""
+    out = []
+    for _ in range(n_traj):
+        t = rng.integers(0, t_max + 1, n_pts) * t_step
+        f = rng.integers(-f_max, f_max + 1, n_pts) * f_step
+        out.append(Trajectory(np.column_stack([t, f, rng.uniform(0.1, 3.0, n_pts)])))
+    return out
 
 
 class TestEmpirical:
@@ -230,3 +303,81 @@ class TestCentralTrajectory:
         small = Trajectory(np.ones((3, 3)))
         with pytest.raises(ValueError):
             central_trajectory([small], n_points=10)
+
+
+class TestCentralTrajectoryOracle:
+    """The batched restarts against the sequential restart loop, bit for bit."""
+
+    def assert_matches(self, trajs, n_points, seed):
+        want, stats = central_oracle(trajs, n_points, seed)
+        got = central_trajectory(trajs, n_points=n_points, seed=seed)
+        np.testing.assert_array_equal(got.points, want)
+        return stats
+
+    def test_workload_size_on_the_spectrogram_grid(self):
+        # 14 trajectories of 10 points: a class's train share at 20 records
+        # a class; 5 ms frames and 3.125 Hz bins as the default STFT makes.
+        rng = np.random.default_rng(11)
+        for seed in range(6):
+            trajs = grid_trajectories(rng, 14, 10, 0.005, 3.125, 1000, 160)
+            self.assert_matches(trajs, 10, seed)
+
+    def test_clusters_of_many_members(self):
+        trajs, _ = TestCentralTrajectory().blob_trajectories(np.random.default_rng(4))
+        self.assert_matches(trajs, 3, 5)
+        rng = np.random.default_rng(12)
+        trajs = grid_trajectories(rng, 30, 10, 0.005, 3.125, 1000, 160)
+        self.assert_matches(trajs, 4, 2)
+
+    def test_fewer_distinct_points_than_clusters(self):
+        pts = np.array([[1.0, 50.0, 2.0], [2.0, -100.0, 1.0], [3.0, 200.0, 0.5]])
+        trajs = [Trajectory(pts[[0, 1, 2, 0]]), Trajectory(pts[[1, 1, 2, 0]])]
+        assert len(np.unique(np.vstack([t.tf for t in trajs]), axis=0)) < 5
+        for seed in range(8):
+            self.assert_matches(trajs, 5, seed)
+
+    def test_empty_cluster_is_revived(self):
+        # Repeated points drawn with replacement give duplicate centres; all
+        # points go to the first of them and the rest start empty.
+        rng = np.random.default_rng(13)
+        trajs = grid_trajectories(rng, 4, 3, 1.0, 100.0, 2, 2)
+        n_points = len(np.unique(np.vstack([t.tf for t in trajs]), axis=0)) + 1
+        stats = self.assert_matches(trajs, n_points, 3)
+        assert stats["revived"] > 0
+
+    def test_zero_inertia_stops_early(self):
+        # normalized coordinates (0.5, 0.5) and (1, -1): member means are exact
+        pts = np.tile([[2.5, 250.0, 2.0], [5.0, -500.0, 1.0]], (6, 1))
+        stats = self.assert_matches([Trajectory(pts)], 2, 0)
+        assert stats["restarts_run"] < 50
+        stats = self.assert_matches([Trajectory(np.tile([[1.0, 50.0, 2.0]], (12, 1)))], 10, 0)
+        assert stats["restarts_run"] == 1
+
+    def test_restart_stops_at_a_shift_equal_to_the_tolerance(self):
+        # From the starts 0 and 1, the first iteration moves the left centre
+        # to the mean of 0 and 2 * tol, a shift of exactly tol, which ends
+        # the restart. One more iteration would move the point at
+        # 0.5 + tol / 4, now nearer the left centre, across.
+        t = np.array([0.0, 2 * KMEANS_TOL, 0.5 + KMEANS_TOL / 4, 1.0, 1.5 - KMEANS_TOL / 4])
+        x = np.column_stack([t, np.zeros_like(t)])
+        stats = {"revived": 0}
+        want = lloyd_oracle(x, x[[0, 3]], stats)
+        centers, assign, inertia = _lloyd(x, x[None, [0, 3]])
+        assert centers[0, 0, 0] == KMEANS_TOL
+        np.testing.assert_array_equal(centers[0], want[0])
+        np.testing.assert_array_equal(assign[0], want[1])
+        assert inertia[0] == want[2]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 6),
+        st.integers(1, 3),
+        st.integers(1, 8),
+        st.integers(0, 2**16),
+    )
+    def test_matches_oracle_on_small_integer_grids(self, n_traj, n_pts, span, n_points, seed):
+        rng = np.random.default_rng(seed)
+        trajs = grid_trajectories(rng, n_traj, n_pts, 1.0, 100.0, span, span)
+        n_points = min(n_points, n_traj * n_pts)
+        self.assert_matches(trajs, n_points, seed)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from mdgest import features, tfr
 from mdgest.harness import (
     ConfusionMatrix,
     EvalProtocol,
@@ -128,6 +129,45 @@ class TestExtractFeatures:
         np.testing.assert_array_equal(
             table.pointsets[0], table.trajectories[0].normalized_tf()
         )
+
+    def count_spectrograms(self, monkeypatch):
+        calls = []
+        real = tfr.spectrogram
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tfr, "spectrogram", counted)
+        return calls
+
+    def test_trajectory_only_request_skips_recentring(self, twelve_records, monkeypatch):
+        records = twelve_records[:3]
+        pipe = PipelineConfig(features="trajectory")
+        raw = [
+            features.trajectory(
+                tfr.spectrogram(r, pipe.stft),
+                pipe.trajectory_points,
+                band_hz=(pipe.pbc.pos_lo_hz, pipe.pbc.pos_hi_hz),
+            )
+            for r in records
+        ]
+        calls = self.count_spectrograms(monkeypatch)
+        table = extract_features(records, pipe, kinds=("trajectory",))["trajectory"]
+        assert len(calls) == len(records)
+        for got, want in zip(table.trajectories, raw):
+            np.testing.assert_array_equal(got.points, want.points)
+
+    def test_mixed_request_still_recentres_for_envelope(self, twelve_records, monkeypatch):
+        records = twelve_records[:3]
+        pipe = PipelineConfig()
+        alone = extract_features(records, pipe, kinds=("envelope",))["envelope"]
+        traj = extract_features(records, pipe, kinds=("trajectory",))["trajectory"]
+        calls = self.count_spectrograms(monkeypatch)
+        both = extract_features(records, pipe, kinds=("trajectory", "envelope"))
+        assert len(calls) == 2 * len(records)
+        np.testing.assert_array_equal(both["envelope"].vectors, alone.vectors)
+        np.testing.assert_array_equal(both["trajectory"].vectors, traj.vectors)
 
     def test_labels_follow_record_order(self, twelve_records):
         table = extract_features(twelve_records, PipelineConfig())["envelope"]

@@ -255,6 +255,24 @@ class TestDataset:
         with pytest.raises(FileNotFoundError, match="missing IQ"):
             Dataset.load(out)
 
+    @pytest.mark.parametrize(
+        "corrupt, match",
+        [
+            (lambda x: x[:-1], "63999 samples, expected 64000"),
+            (lambda x: np.concatenate([x, x[:5]]), "64005 samples, expected 64000"),
+            (lambda x: np.where(np.arange(len(x)) == 7, np.nan, x), "non-finite"),
+            (lambda x: np.where(np.arange(len(x)) == 7, 1j * np.inf, x), "non-finite"),
+        ],
+        ids=["short", "long", "nan", "inf"],
+    )
+    def test_load_rejects_bad_records(self, tmp_path, twelve_records, corrupt, match):
+        rec = twelve_records[0]
+        out = Dataset(records=[rec]).save(tmp_path / "ds")
+        path = out / f"{rec.record_id}.iq"
+        corrupt(np.fromfile(path, dtype="<c8")).astype("<c8").tofile(path)
+        with pytest.raises(ValueError, match=match):
+            Dataset.load(out)
+
     def test_manifest_contents(self, tmp_path):
         ds = generate_dataset(1)
         out = ds.save(tmp_path / "ds")
