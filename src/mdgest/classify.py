@@ -4,7 +4,8 @@ Envelope vectors can be compared four ways: L1, L2, a closed-form 1-D
 earth mover's distance on the vectors re-read as distributions, and the
 modified Hausdorff distance on the vectors re-read as planar point
 sets.  The SVM is six one-vs-rest linear hinge-loss machines trained
-with seeded epoch-wise subgradient descent.
+with seeded epoch-wise subgradient descent; independent training sets
+(one per protocol trial) train together in one lockstep loop.
 """
 
 from __future__ import annotations
@@ -238,61 +239,99 @@ def fit_svm(
     epochs: int = 200,
     seed: int = 0,
 ) -> SvmModel:
-    """Train one-vs-rest linear hinge machines.
+    """Train one-vs-rest linear hinge machines on one set (see ``fit_svm_many``)."""
+    return fit_svm_many([x], [y], [seed], lam=lam, epochs=epochs)[0]
 
-    Features are standardized (constant dimensions keep unit scale).
-    Per-sample subgradient steps with 1/(lam*t) rates run in a seeded
-    shuffle order; after each epoch the full objective is evaluated and
-    the best iterate so far is kept, so the recorded loss curve is
-    non-increasing and the returned machine is the best one seen.
+
+def _svm_objective(z, targets, w, b, lam) -> float:
+    margins = 1.0 - targets * (z @ w.T + b).T
+    hinge = np.maximum(margins, 0.0).mean(axis=1).sum()
+    return 0.5 * lam * (w**2).sum() + hinge
+
+
+def fit_svm_many(xs, ys, seeds, lam: float = 1e-4, epochs: int = 200) -> list[SvmModel]:
+    """Train one-vs-rest linear hinge machines on several independent sets.
+
+    For each set, features are standardized (constant dimensions keep
+    unit scale).  Per-sample subgradient steps with 1/(lam*t) rates run
+    in a shuffle order drawn from the set's own seeded stream; after
+    each epoch the full objective is evaluated and the best iterate so
+    far is kept, so the recorded loss curve is non-increasing and the
+    returned machine is the best one seen.  A set whose rows are all
+    identical gets a model that predicts its majority class.
+
+    All other sets must share (M, D) and their number of classes; they
+    train in lockstep: step s of every set runs as one batched update,
+    with one gemv per set and masked updates of the violating machines
+    only.  A set's arithmetic is the one-set loop's, so its model does
+    not depend on which sets it was trained with.
     """
-    x = np.asarray(x, float)
-    y = np.asarray(y, int)
-    if x.ndim != 2 or len(x) != len(y):
-        raise ValueError("need (M, D) features with matching labels")
-    classes = np.unique(y)
-    mean = x.mean(axis=0)
-    scale = x.std(axis=0)
-    scale[scale == 0.0] = 1.0
-    z = (x - mean) / scale
+    if not len(xs) == len(ys) == len(seeds):
+        raise ValueError("need one label vector and one seed per feature set")
+    models: list[SvmModel | None] = [None] * len(xs)
+    live = []
+    for k, (x, y) in enumerate(zip(xs, ys)):
+        x = np.asarray(x, float)
+        y = np.asarray(y, int)
+        if x.ndim != 2 or len(x) != len(y):
+            raise ValueError("need (M, D) features with matching labels")
+        classes = np.unique(y)
+        mean = x.mean(axis=0)
+        scale = x.std(axis=0)
+        scale[scale == 0.0] = 1.0
+        if np.all(np.all(x == x[0], axis=1)):
+            counts = np.array([(y == c).sum() for c in classes])
+            maj = int(classes[int(np.argmax(counts))])
+            c, dim = len(classes), x.shape[1]
+            models[k] = SvmModel(np.zeros((c, dim)), np.zeros(c), mean, scale, classes, majority=maj)
+        else:
+            targets = np.where(y[None, :] == classes[:, None], 1.0, -1.0)  # (C, M)
+            live.append((k, (x - mean) / scale, targets, mean, scale, classes))
+    if not live:
+        return models
+    if len({(z.shape, len(tg)) for _, z, tg, *_ in live}) > 1:
+        raise ValueError("sets trained together must share (M, D) and their number of classes")
 
-    if np.all(np.all(x == x[0], axis=1)):
-        counts = np.array([(y == c).sum() for c in classes])
-        maj = int(classes[int(np.argmax(counts))])
-        c, dim = len(classes), x.shape[1]
-        return SvmModel(np.zeros((c, dim)), np.zeros(c), mean, scale, classes, majority=maj)
-
-    targets = np.where(y[None, :] == classes[:, None], 1.0, -1.0)  # (C, M)
-    m, dim = z.shape
-    w = np.zeros((len(classes), dim))
-    b = np.zeros(len(classes))
-
-    def objective(wm, bm):
-        margins = 1.0 - targets * (z @ wm.T + bm).T
-        hinge = np.maximum(margins, 0.0).mean(axis=1).sum()
-        return 0.5 * lam * (wm**2).sum() + hinge
-
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, STREAM_SVM])))
+    z = np.stack([s[1] for s in live])  # (S, M, D)
+    targets = np.stack([s[2] for s in live])  # (S, C, M)
+    n, m, dim = z.shape
+    rows = np.arange(n)[:, None]
+    by_sample = targets.transpose(0, 2, 1)  # (S, M, C)
+    w = np.zeros((n, targets.shape[1], dim))
+    b = np.zeros((n, targets.shape[1]))
+    rngs = [
+        np.random.Generator(np.random.PCG64(np.random.SeedSequence([seeds[k], STREAM_SVM])))
+        for k, *_ in live
+    ]
     best_w, best_b = w.copy(), b.copy()
-    best_obj = objective(w, b)
-    losses = []
+    best_obj = [_svm_objective(z[j], targets[j], w[j], b[j], lam) for j in range(n)]
+    losses = np.empty((n, epochs))
     t = 0
-    for _ in range(epochs):
-        for i in rng.permutation(m):
+    for e in range(epochs):
+        order = np.stack([rng.permutation(m) for rng in rngs])  # (S, M)
+        # Step-major copies, so step s reads one contiguous (S, D) / (S, C) row.
+        zs = z[rows, order].transpose(1, 0, 2).copy()
+        ts = by_sample[rows, order].transpose(1, 0, 2).copy()
+        for s in range(m):
             t += 1
             eta = 1.0 / (lam * t)
-            zi = z[i]
-            viol = targets[:, i] * (w @ zi + b) < 1.0
+            zi, ti = zs[s], ts[s]
+            viol = ti * (np.matmul(w, zi[:, :, None])[:, :, 0] + b) < 1.0
             w *= 1.0 - eta * lam
-            if viol.any():
-                w[viol] += (eta / m) * targets[viol, i][:, None] * zi
-                b[viol] += (eta / m) * targets[viol, i]
-        obj = objective(w, b)
-        if obj < best_obj:
-            best_obj = obj
-            best_w, best_b = w.copy(), b.copy()
-        losses.append(best_obj)
-    return SvmModel(best_w, best_b, mean, scale, classes, epoch_losses=np.array(losses))
+            sv, cv = viol.nonzero()
+            if len(sv):
+                step = (eta / m) * ti[sv, cv]
+                w[sv, cv] += step[:, None] * zi[sv]
+                b[sv, cv] += step
+        for j in range(n):
+            obj = _svm_objective(z[j], targets[j], w[j], b[j], lam)
+            if obj < best_obj[j]:
+                best_obj[j] = obj
+                best_w[j], best_b[j] = w[j], b[j]
+            losses[j, e] = best_obj[j]
+    for j, (k, _, _, mean, scale, classes) in enumerate(live):
+        models[k] = SvmModel(best_w[j], best_b[j], mean, scale, classes, epoch_losses=losses[j])
+    return models
 
 
 def svm_predict(model: SvmModel, x: np.ndarray) -> np.ndarray:

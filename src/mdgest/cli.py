@@ -27,9 +27,14 @@ class DataError(Exception):
 def _load_record(path: Path) -> simulate.IQRecord:
     if not path.exists():
         raise DataError(f"no such IQ file: {path}")
-    samples = np.fromfile(path, dtype="<c8")
-    if samples.size == 0:
+    size = path.stat().st_size
+    if size == 0:
         raise DataError(f"empty IQ file: {path}")
+    if size % 8:
+        raise DataError(f"IQ file {path} is {size} bytes, not whole complex64 samples")
+    samples = np.fromfile(path, dtype="<c8")
+    if not np.isfinite(samples).all():
+        raise DataError(f"IQ file {path} holds non-finite samples")
     return simulate.IQRecord(samples=samples, sample_rate_hz=12800.0, record_id=path.stem)
 
 
@@ -193,6 +198,7 @@ def _cmd_train(args) -> int:
             args.out,
             weights=model.weights, bias=model.bias, mean=model.mean,
             scale=model.scale, classes=model.classes,
+            majority=-1 if model.majority is None else model.majority,
         )
     else:
         np.savez(args.out, features=np.asarray(table.vectors), labels=table.labels)

@@ -303,17 +303,19 @@ def _make_predictor(table: FeatureTable, pipe: PipelineConfig, protocol: EvalPro
         return predict
 
     if clf == "svm":
+        # Every trial's machines train up front, together, on the same
+        # splits evaluate will pass; predict only applies the trial's model.
+        trains = [split(table.labels, protocol, t)[0] for t in range(protocol.trials)]
+        models = classify.fit_svm_many(
+            [table.vectors[tr] for tr in trains],
+            [table.labels[tr] for tr in trains],
+            [_trial_seed(protocol, STREAM_SVM, t) for t in range(protocol.trials)],
+            lam=pipe.svm_lambda,
+            epochs=pipe.svm_epochs,
+        )
 
         def predict(trial, tr, te):
-            seed = _trial_seed(protocol, STREAM_SVM, trial)
-            model = classify.fit_svm(
-                table.vectors[tr],
-                table.labels[tr],
-                lam=pipe.svm_lambda,
-                epochs=pipe.svm_epochs,
-                seed=seed,
-            )
-            return classify.svm_predict(model, table.vectors[te])
+            return classify.svm_predict(models[trial], table.vectors[te])
 
         return predict
 
@@ -366,7 +368,6 @@ def evaluate(
     else:
         labels = np.array([int(r.label) for r in records])
     classes = np.unique(labels)
-    class_pos = {c: i for i, c in enumerate(classes)}
     if predictor is None:
         predictor = _make_predictor(features_table, pipe, protocol)
 
@@ -376,8 +377,9 @@ def evaluate(
         tr, te = split(labels, protocol, trial)
         pred = np.asarray(predictor(trial, tr, te), int)
         truth = labels[te]
-        for t, p in zip(truth, pred):
-            counts[class_pos[t], class_pos[p]] += 1
+        if not np.isin(pred, classes).all():
+            raise ValueError(f"trial {trial} predicted a class outside {classes.tolist()}")
+        np.add.at(counts, (np.searchsorted(classes, truth), np.searchsorted(classes, pred)), 1)
         per_trial.append(100.0 * float((pred == truth).mean()))
 
     letters = tuple(GestureLabel(c).letter for c in classes)

@@ -11,7 +11,9 @@ from mdgest.classify import (
     emd_1d,
     envelope_to_points,
     fit_nn,
+    SvmModel,
     fit_svm,
+    fit_svm_many,
     mhd,
     nn_classify,
     nn_predict,
@@ -19,8 +21,8 @@ from mdgest.classify import (
     shuffle_features,
     svm_predict,
 )
-from mdgest.harness import PipelineConfig, extract_features
-from mdgest.simulate import GestureLabel, SimConfig, simulate_record
+from mdgest.harness import EvalProtocol, PipelineConfig, _trial_seed, extract_features, split
+from mdgest.simulate import STREAM_SVM, GestureLabel, SimConfig, simulate_record
 
 VECTOR_KINDS = (DistanceKind.L1, DistanceKind.L2, DistanceKind.EMD)
 
@@ -67,6 +69,63 @@ def mhd_oracle(a, b):
     fwd = np.mean([min(np.linalg.norm(p - q) for q in b) for p in a])
     bwd = np.mean([min(np.linalg.norm(p - q) for q in a) for p in b])
     return max(fwd, bwd)
+
+
+def fit_svm_oracle(x, y, lam=1e-4, epochs=200, seed=0, quiet_epochs=None):
+    """The one-set sequential trainer that ``fit_svm_many`` batches.
+
+    ``quiet_epochs``, when a list, collects the epochs in which no
+    sample violated its margin.
+    """
+    x = np.asarray(x, float)
+    y = np.asarray(y, int)
+    classes = np.unique(y)
+    mean = x.mean(axis=0)
+    scale = x.std(axis=0)
+    scale[scale == 0.0] = 1.0
+    z = (x - mean) / scale
+
+    if np.all(np.all(x == x[0], axis=1)):
+        counts = np.array([(y == c).sum() for c in classes])
+        maj = int(classes[int(np.argmax(counts))])
+        c, dim = len(classes), x.shape[1]
+        return SvmModel(np.zeros((c, dim)), np.zeros(c), mean, scale, classes, majority=maj)
+
+    targets = np.where(y[None, :] == classes[:, None], 1.0, -1.0)  # (C, M)
+    m, dim = z.shape
+    w = np.zeros((len(classes), dim))
+    b = np.zeros(len(classes))
+
+    def objective(wm, bm):
+        margins = 1.0 - targets * (z @ wm.T + bm).T
+        hinge = np.maximum(margins, 0.0).mean(axis=1).sum()
+        return 0.5 * lam * (wm**2).sum() + hinge
+
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, STREAM_SVM])))
+    best_w, best_b = w.copy(), b.copy()
+    best_obj = objective(w, b)
+    losses = []
+    t = 0
+    for epoch in range(epochs):
+        quiet = True
+        for i in rng.permutation(m):
+            t += 1
+            eta = 1.0 / (lam * t)
+            zi = z[i]
+            viol = targets[:, i] * (w @ zi + b) < 1.0
+            w *= 1.0 - eta * lam
+            if viol.any():
+                quiet = False
+                w[viol] += (eta / m) * targets[viol, i][:, None] * zi
+                b[viol] += (eta / m) * targets[viol, i]
+        if quiet and quiet_epochs is not None:
+            quiet_epochs.append(epoch)
+        obj = objective(w, b)
+        if obj < best_obj:
+            best_obj = obj
+            best_w, best_b = w.copy(), b.copy()
+        losses.append(best_obj)
+    return SvmModel(best_w, best_b, mean, scale, classes, epoch_losses=np.array(losses))
 
 
 @st.composite
@@ -401,6 +460,134 @@ class TestSvm:
             fit_svm(np.ones(5), np.ones(5))
         with pytest.raises(ValueError):
             fit_svm(np.ones((4, 2)), np.ones(3))
+
+
+def assert_same_svm(got, want):
+    np.testing.assert_array_equal(got.weights, want.weights)
+    np.testing.assert_array_equal(got.bias, want.bias)
+    np.testing.assert_array_equal(got.epoch_losses, want.epoch_losses)
+    np.testing.assert_array_equal(got.mean, want.mean)
+    np.testing.assert_array_equal(got.scale, want.scale)
+    np.testing.assert_array_equal(got.classes, want.classes)
+    assert got.majority == want.majority
+
+
+@st.composite
+def svm_batches(draw):
+    """A few small sets sharing (M, D) and class count, on a coarse grid
+    (ties, duplicate rows and all-identical sets are common)."""
+    m = draw(st.integers(min_value=2, max_value=8))
+    dim = draw(st.integers(min_value=1, max_value=3))
+    n_classes = draw(st.integers(min_value=2, max_value=min(3, m)))
+    grid = st.integers(min_value=-2, max_value=2)
+    xs, ys = [], []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        rows = draw(st.lists(st.lists(grid, min_size=dim, max_size=dim), min_size=m, max_size=m))
+        y = list(range(n_classes)) + draw(
+            st.lists(st.integers(0, n_classes - 1), min_size=m - n_classes, max_size=m - n_classes)
+        )
+        xs.append(np.array(rows, float))
+        ys.append(np.array(draw(st.permutations(y))))
+    seeds = draw(st.lists(st.integers(0, 2**31 - 1), min_size=len(xs), max_size=len(xs)))
+    # At 1e-4 such small runs keep the all-zero start as their best iterate.
+    lam = draw(st.sampled_from([1e-2, 0.1, 1.0, 10.0]))
+    return xs, ys, seeds, lam, draw(st.integers(min_value=0, max_value=6))
+
+
+class TestSvmLockstep:
+    """``fit_svm_many`` against the sequential one-set loop, bit for bit."""
+
+    def test_single_set(self):
+        rng = np.random.default_rng(30)
+        x = rng.normal(size=(40, 4))
+        y = rng.integers(0, 3, size=40)
+        want = fit_svm_oracle(x, y, epochs=30, seed=9)
+        assert np.all(want.weights != 0.0)
+        assert_same_svm(fit_svm(x, y, epochs=30, seed=9), want)
+
+    def test_protocol_sized_trials(self):
+        # 20 stratified 70 % splits of 20 samples a class: 84 rows of 3
+        # features (the empirical triple's shape), 200 epochs, as in
+        # evaluate's svm branch.
+        rng = np.random.default_rng(31)
+        labels = np.repeat(np.arange(6), 20)
+        x = rng.normal(size=(120, 3)) * [0.3, 0.1, 40.0] + labels[:, None] * [0.2, 0.05, 15.0]
+        protocol = EvalProtocol(seed=31)
+        trains = [split(labels, protocol, t)[0] for t in range(protocol.trials)]
+        seeds = [_trial_seed(protocol, STREAM_SVM, t) for t in range(protocol.trials)]
+        got = fit_svm_many([x[tr] for tr in trains], [labels[tr] for tr in trains], seeds)
+        assert len(got) == 20
+        for tr, seed, model in zip(trains, seeds, got):
+            assert len(tr) == 84
+            assert_same_svm(model, fit_svm_oracle(x[tr], labels[tr], seed=seed))
+
+    def test_degenerate_set_among_normal_ones(self):
+        rng = np.random.default_rng(32)
+        y = np.array([0, 1, 2, 1, 0, 1, 2, 1, 2, 0])
+        normal = [rng.normal(size=(10, 2)) for _ in range(2)]
+        flat = np.full((10, 2), 3.5)
+        xs = [normal[0], flat, normal[1]]
+        got = fit_svm_many(xs, [y, y, y], [4, 5, 6])
+        for x, seed, model in zip(xs, [4, 5, 6], got):
+            assert_same_svm(model, fit_svm_oracle(x, y, seed=seed))
+        assert got[1].majority == 1
+        assert got[0].majority is None and got[2].majority is None
+        assert np.all(got[0].weights != 0.0) and np.all(got[2].weights != 0.0)
+        # A set's model does not depend on the sets trained beside it.
+        assert_same_svm(got[2], fit_svm(normal[1], y, seed=6))
+
+    def test_epochs_without_a_violation(self):
+        # Well separated classes: after the first steps every margin
+        # holds for whole epochs, so those epochs only shrink the weights.
+        x = np.array([[-5.0], [-4.0], [4.0], [5.0]])
+        y = np.array([0, 0, 1, 1])
+        quiet = []
+        want = fit_svm_oracle(x, y, lam=1e-2, epochs=50, seed=1, quiet_epochs=quiet)
+        assert len(quiet) > 10
+        assert np.all(want.weights != 0.0)
+        assert_same_svm(fit_svm(x, y, lam=1e-2, epochs=50, seed=1), want)
+        got = fit_svm_many([x, x[::-1].copy()], [y, y[::-1].copy()], [1, 2], lam=1e-2, epochs=50)
+        assert_same_svm(got[0], want)
+        assert_same_svm(got[1], fit_svm_oracle(x[::-1], y[::-1], lam=1e-2, epochs=50, seed=2))
+
+    def test_objective_tie_keeps_the_earlier_iterate(self):
+        # With this set the objective returns to the best value seen with
+        # different weights; only a strict improvement replaces the best.
+        x = np.array([[1.0], [0.0]])
+        y = np.array([0, 1])
+        assert_same_svm(
+            fit_svm(x, y, lam=1.0, epochs=10, seed=23),
+            fit_svm_oracle(x, y, lam=1.0, epochs=10, seed=23),
+        )
+
+    def test_margin_of_exactly_one_is_not_a_violation(self):
+        # A step of this run meets a margin of exactly 1.0, which must
+        # leave that machine's weights alone.
+        x = np.array([[0.0], [2.0], [1.0], [-1.0]])
+        y = np.array([0, 1, 2, 2])
+        assert_same_svm(
+            fit_svm(x, y, lam=0.1, epochs=6, seed=34),
+            fit_svm_oracle(x, y, lam=0.1, epochs=6, seed=34),
+        )
+
+    @pytest.mark.prop
+    @settings(max_examples=80, deadline=None)
+    @given(svm_batches())
+    def test_random_small_batches(self, batch):
+        xs, ys, seeds, lam, epochs = batch
+        got = fit_svm_many(xs, ys, seeds, lam=lam, epochs=epochs)
+        for x, y, seed, model in zip(xs, ys, seeds, got):
+            assert_same_svm(model, fit_svm_oracle(x, y, lam=lam, epochs=epochs, seed=seed))
+
+    def test_mismatched_sets_rejected(self):
+        y = np.array([0, 1, 0, 1])
+        with pytest.raises(ValueError):
+            fit_svm_many([np.eye(4)], [y], [0, 1])
+        with pytest.raises(ValueError):
+            fit_svm_many([np.eye(4), np.eye(4)[:3]], [y, y[:3]], [0, 1])
+        with pytest.raises(ValueError):
+            fit_svm_many([np.eye(4), np.eye(4)], [y, np.array([0, 1, 2, 1])], [0, 1])
+        assert fit_svm_many([], [], []) == []
 
 
 @pytest.fixture(scope="module")

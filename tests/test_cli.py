@@ -6,7 +6,10 @@ import shutil
 import numpy as np
 import pytest
 
+from mdgest import harness
+from mdgest.classify import SvmModel, fit_svm, svm_predict
 from mdgest.cli import main
+from mdgest.simulate import Dataset
 
 
 def first_iq(tiny_dataset_dir):
@@ -81,6 +84,26 @@ class TestEnvelope:
         assert overlay.read_bytes().startswith(b"P5\n")
 
 
+    @staticmethod
+    def with_nan(raw):
+        samples = np.frombuffer(raw, "<c8").copy()
+        samples[99] = np.nan
+        return samples.tobytes()
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [with_nan, lambda raw: raw + b"\x01\x02\x03"],
+        ids=["nan", "stray-bytes"],
+    )
+    def test_bad_record_is_data_error(self, tiny_dataset_dir, tmp_path, capsys, corrupt):
+        path = tmp_path / "bad.iq"
+        path.write_bytes(corrupt(first_iq(tiny_dataset_dir).read_bytes()))
+        out = tmp_path / "env.json"
+        assert main(["envelope", "--in", str(path), "--out", str(out)]) == 3
+        assert "bad.iq" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestFeatures:
     def test_empirical_csv(self, tiny_dataset_dir, tmp_path):
         out = tmp_path / "emp.csv"
@@ -148,6 +171,43 @@ class TestTrain:
         blob = np.load(out)
         assert blob["weights"].shape[0] == 6
         assert blob["classes"].shape == (6,)
+
+
+    def load_svm(self, path):
+        blob = np.load(path)
+        majority = int(blob["majority"])
+        return SvmModel(
+            blob["weights"], blob["bias"], blob["mean"], blob["scale"], blob["classes"],
+            majority=None if majority < 0 else majority,
+        )
+
+    def train_svm(self, dataset_dir, out):
+        return main(["train", "--in", str(dataset_dir), "--classifier", "svm", "--out", str(out)])
+
+    def test_svm_archive_round_trip(self, tiny_dataset_dir, tmp_path):
+        out = tmp_path / "svm.npz"
+        assert self.train_svm(tiny_dataset_dir, out) == 0
+        pipe = harness.PipelineConfig(classifier="svm")
+        records = Dataset.load(tiny_dataset_dir).records
+        table = harness.extract_features(records, pipe)[pipe.features]
+        want = fit_svm(table.vectors, table.labels, seed=0)
+        got = self.load_svm(out)
+        assert got.majority is None
+        for name in ("weights", "bias", "mean", "scale", "classes"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        np.testing.assert_array_equal(
+            svm_predict(got, table.vectors), svm_predict(want, table.vectors)
+        )
+
+    def test_degenerate_svm_archive_keeps_its_majority(self, tiny_dataset_dir, tmp_path, monkeypatch):
+        labels = np.array([0, 1, 2, 3, 4, 5, 3, 3, 3, 1, 2, 3])
+        flat = harness.FeatureTable(kind="envelope", labels=labels, vectors=np.ones((12, 4)))
+        monkeypatch.setattr(harness, "extract_features", lambda *a, **k: {"envelope": flat})
+        out = tmp_path / "svm.npz"
+        assert self.train_svm(tiny_dataset_dir, out) == 0
+        got = self.load_svm(out)
+        assert got.majority == 3
+        np.testing.assert_array_equal(svm_predict(got, np.zeros((2, 4))), [3, 3])
 
 
 class TestEval:

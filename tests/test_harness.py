@@ -17,7 +17,9 @@ from mdgest.harness import (
     report,
     split,
 )
-from mdgest.simulate import STREAM_KMEANS, STREAM_SPLIT
+from mdgest.classify import svm_predict
+from mdgest.simulate import STREAM_KMEANS, STREAM_SPLIT, STREAM_SVM
+from test_classify import fit_svm_oracle
 
 
 def balanced_labels(per_class=10):
@@ -238,6 +240,16 @@ class TestEvaluateWithStubs:
         assert cm.counts[:, [0, 1, 3, 4, 5]].sum() == 0
         assert cm.overall_accuracy == pytest.approx(100.0 / 6.0, abs=1e-9)
 
+    def test_prediction_outside_the_classes_rejected(self):
+        with pytest.raises(ValueError, match="outside"):
+            evaluate(
+                [],
+                PipelineConfig(),
+                EvalProtocol(trials=2),
+                features_table=FakeTable(self.labels),
+                predictor=lambda trial, tr, te: np.full(len(te), 9),
+            )
+
     def test_predictor_sees_each_trial_split(self):
         proto = EvalProtocol(trials=4)
         seen = []
@@ -262,6 +274,41 @@ class TestEndToEndSmall:
         assert 0.0 <= cm.overall_accuracy <= 100.0
         assert cm.counts.sum() == 3 * 6  # one test sample per class per trial
         assert cm.config_hash == config_hash(PipelineConfig(), proto)
+
+
+class TestEvaluateSvm:
+    # With one training record a class, the default lambda keeps the
+    # all-zero start as every trial's best iterate; at 1e-2 the trials'
+    # models differ from it and from each other.
+    pipe = PipelineConfig(features="empirical", classifier="svm", svm_lambda=1e-2)
+    proto = EvalProtocol(seed=5)
+
+    def test_matches_per_trial_oracle_loop(self, twelve_records):
+        table = extract_features(twelve_records, self.pipe)["empirical"]
+        cm = evaluate(twelve_records, self.pipe, self.proto, features_table=table)
+        x, y = table.vectors, table.labels
+        counts = np.zeros((6, 6), int)
+        per_trial = []
+        for trial in range(self.proto.trials):
+            tr, te = split(y, self.proto, trial)
+            seed = _trial_seed(self.proto, STREAM_SVM, trial)
+            model = fit_svm_oracle(
+                x[tr], y[tr], lam=self.pipe.svm_lambda, epochs=self.pipe.svm_epochs, seed=seed
+            )
+            pred = svm_predict(model, x[te])
+            for t, p in zip(y[te], pred):
+                counts[t, p] += 1
+            per_trial.append(100.0 * float((pred == y[te]).mean()))
+        np.testing.assert_array_equal(cm.counts, counts)
+        np.testing.assert_array_equal(cm.per_trial_accuracy, per_trial)
+        assert np.all(counts.sum(axis=0) > 0)
+
+    def test_report_bytes_do_not_depend_on_jobs(self, twelve_records, tmp_path):
+        paths = [tmp_path / f"jobs{j}.json" for j in (1, 2)]
+        for jobs, path in zip((1, 2), paths):
+            cm = evaluate(twelve_records, self.pipe, self.proto, jobs=jobs)
+            report(cm, self.pipe, json_path=path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 class TestReport:
