@@ -208,6 +208,10 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     ds = _load_dataset(args.indir)
+    classes, sizes = np.unique(ds.labels(), return_counts=True)
+    if sizes.size and sizes.min() < 2:
+        small = simulate.GestureLabel(int(classes[sizes.argmin()])).letter
+        raise DataError(f"class {small} has fewer than 2 records; a split needs train and test")
     pipe = _pipeline_from_args(args)
     try:
         protocol = harness.EvalProtocol(
@@ -232,11 +236,7 @@ def _cmd_report(args) -> int:
         overall = payload["overall_accuracy"]
     except (json.JSONDecodeError, KeyError) as e:
         raise DataError(f"corrupt report file: {e}") from e
-    with open(args.out, "w") as fh:
-        fh.write("," + ",".join(labels) + "\n")
-        for letter, row in zip(labels, percent):
-            fh.write(letter + "," + ",".join(f"{v:.2f}" for v in row) + "\n")
-        fh.write(f"overall,{overall:.2f}\n")
+    harness.write_confusion_csv(args.out, labels, percent, overall)
     print(f"wrote {args.out}")
     return 0
 

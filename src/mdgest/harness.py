@@ -322,11 +322,13 @@ def _make_predictor(table: FeatureTable, pipe: PipelineConfig, protocol: EvalPro
     metric = classify.DistanceKind.parse(clf[3:])
 
     if feats.startswith("pca-"):
+        # One Gram matrix of the whole table; each trial's PCA then works
+        # on its rows and columns alone (subspace.gram_pca).
+        gram = subspace.gram(table.vectors)
+        dims = table.vectors.shape[1]
 
         def predict(trial, tr, te):
-            model = subspace.fit_pca(table.vectors[tr], pipe.pca_dim)
-            ztr = subspace.project(model, table.vectors[tr])
-            zte = subspace.project(model, table.vectors[te])
+            ztr, zte = subspace.gram_pca(gram, dims, tr, te, pipe.pca_dim)
             d = classify.pairwise_distances(zte, ztr, metric)
             return table.labels[tr][d.argmin(axis=1)]
 
@@ -427,9 +429,20 @@ def report(
             json.dump(payload, fh, indent=2, sort_keys=True, default=list)
             fh.write("\n")
     if csv_path is not None:
-        with open(csv_path, "w") as fh:
-            fh.write("," + ",".join(cm.labels) + "\n")
-            for letter, row in zip(cm.labels, cm.percent):
-                fh.write(letter + "," + ",".join(f"{v:.2f}" for v in row) + "\n")
-            fh.write(f"overall,{cm.overall_accuracy:.2f}\n")
+        write_confusion_csv(
+            csv_path, payload["labels"], payload["percent"], payload["overall_accuracy"]
+        )
     return payload
+
+
+def write_confusion_csv(path, labels, percent, overall) -> None:
+    """Row percentages and overall accuracy, two decimals.
+
+    ``report`` and ``mdg report`` both pass the rounded JSON payload's
+    values, so a report re-rendered from its JSON has the same bytes.
+    """
+    with open(path, "w") as fh:
+        fh.write("," + ",".join(labels) + "\n")
+        for letter, row in zip(labels, percent):
+            fh.write(letter + "," + ",".join(f"{v:.2f}" for v in row) + "\n")
+        fh.write(f"overall,{overall:.2f}\n")

@@ -31,11 +31,43 @@ def _fix_signs(basis: np.ndarray) -> np.ndarray:
     return basis
 
 
+def _check_dim(d: int, m: int, q: int) -> None:
+    if not 1 <= d <= min(m, q):
+        raise ValueError(f"d={d} out of range for {m} samples of dim {q}")
+
+
+def _top_eigh(gram: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The d largest eigenvalues of a symmetric Gram matrix, descending,
+    with their eigenvectors as columns."""
+    lam, v = np.linalg.eigh(gram)
+    return lam[::-1][:d], v[:, ::-1][:, :d]
+
+
+def _span_basis(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the columns of x' v, sign-fixed.
+
+    For eigenvectors v of x x' these columns are the left singular
+    vectors of x' scaled by the singular values (the method of
+    snapshots), so the m x m eigenproblem stands in for a thin SVD of
+    the long (dims x m) matrix.  The thin QR normalises them and keeps
+    the basis orthonormal where the smaller singular values are
+    resolved only roughly.
+    """
+    q, _ = np.linalg.qr(x.T @ v)
+    return _fix_signs(q)
+
+
+# Eigenvalues of a centred Gram matrix below this share of the largest
+# are taken as zero: eigh resolves them only to about m * eps * lam_max,
+# and a duplicated train row or a full-rank pca_dim produces them.
+NULL_RTOL = 1e-12
+
+
 @dataclass
 class PcaModel:
     mean: np.ndarray
     basis: np.ndarray  # (dims, d), orthonormal columns
-    singular_values: np.ndarray
+    singular_values: np.ndarray  # (d,), descending
 
     @property
     def dim(self) -> int:
@@ -46,11 +78,53 @@ def fit_pca(samples, d: int) -> PcaModel:
     """Top-d principal directions of mean-centered samples (rows)."""
     x = _as_matrix(samples)
     m, q = x.shape
-    if not 1 <= d <= min(m, q):
-        raise ValueError(f"d={d} out of range for {m} samples of dim {q}")
+    _check_dim(d, m, q)
     mean = x.mean(axis=0)
-    u, s, _ = np.linalg.svd((x - mean).T, full_matrices=False)
-    return PcaModel(mean=mean, basis=_fix_signs(u[:, :d].copy()), singular_values=s)
+    xc = x - mean
+    lam, v = _top_eigh(xc @ xc.T, d)
+    return PcaModel(
+        mean=mean, basis=_span_basis(xc, v), singular_values=np.sqrt(np.clip(lam, 0.0, None))
+    )
+
+
+def gram(samples) -> np.ndarray:
+    """Gram matrix (n x n, float64) of the rows about their common mean.
+
+    The rows' common shift cancels in ``gram_pca``; removing it here
+    keeps the entries small where the rows share a large mean.
+    """
+    x = np.array(samples, dtype=float)
+    x -= x.mean(axis=0)
+    return x @ x.T
+
+
+def gram_pca(g: np.ndarray, dims: int, train, test, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """PCA coefficients of train and test rows, from their Gram matrix.
+
+    ``g`` is ``gram`` of every row of a (rows x ``dims``) table; the
+    principal directions are those ``fit_pca`` finds for the train
+    rows, and the coefficients equal ``project`` onto them up to the
+    sign of each component.  No ``dims``-long row is touched: train
+    coefficients are V sqrt(L) for the eigenpairs (L, V) of the
+    train-centred train block, test coefficients the train-centred
+    cross block times V / sqrt(L).  A component with an eigenvalue
+    below ``NULL_RTOL`` times the largest has no direction to project
+    on and gets coefficient 0 on both sides.  Each component is
+    oriented so that its largest-magnitude train coefficient is
+    positive.
+    """
+    train, test = np.asarray(train), np.asarray(test)
+    _check_dim(d, len(train), dims)
+    g_tt = g[np.ix_(train, train)]
+    r = g_tt.mean(axis=1)
+    r_bar = r.mean()
+    lam, v = _top_eigh(g_tt - r[:, None] - r[None, :] + r_bar, d)
+    v = _fix_signs(v.copy())
+    keep = lam > NULL_RTOL * lam[0]
+    root = np.sqrt(np.where(keep, lam, 1.0))
+    g_et = g[np.ix_(test, train)]
+    g_et = g_et - g_et.mean(axis=1, keepdims=True) - r[None, :] + r_bar
+    return v * np.where(keep, root, 0.0), (g_et @ v) * np.where(keep, 1.0 / root, 0.0)
 
 
 def project(model: PcaModel, x: np.ndarray) -> np.ndarray:
@@ -74,10 +148,9 @@ def class_subspace(samples, d: int) -> ClassSubspace:
     """Orthonormal span of the raw (uncentered) samples, top-d."""
     x = _as_matrix(samples)
     m, q = x.shape
-    if not 1 <= d <= min(m, q):
-        raise ValueError(f"d={d} out of range for {m} samples of dim {q}")
-    u, _, _ = np.linalg.svd(x.T, full_matrices=False)
-    return ClassSubspace(basis=_fix_signs(u[:, :d].copy()))
+    _check_dim(d, m, q)
+    _, v = _top_eigh(x @ x.T, d)
+    return ClassSubspace(basis=_span_basis(x, v))
 
 
 def canonical_correlations(a: ClassSubspace, b: ClassSubspace) -> np.ndarray:

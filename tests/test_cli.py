@@ -250,6 +250,33 @@ class TestEval:
         assert path.name in capsys.readouterr().err
         assert not out_json.exists()
 
+    def test_class_with_one_record_is_data_error(self, twelve_records, tmp_path, capsys):
+        # make_records lists classes in order, two records each: dropping
+        # the last leaves class f with one, which no split can use.
+        ds = Dataset(records=twelve_records[:-1]).save(tmp_path / "ds")
+        rc, out_json, _ = self.run_eval(ds, tmp_path)
+        assert rc == 3
+        assert "class f" in capsys.readouterr().err
+        assert not out_json.exists()
+
+    def test_pca_dim_above_train_count_is_config_error(self, tiny_dataset_dir, tmp_path):
+        # One train record a class: six train rows allow at most 6 components.
+        rc, out_json, _ = self.run_eval(
+            tiny_dataset_dir, tmp_path, ["--features", "pca-env", "--pca-dim", "7"]
+        )
+        assert rc == 2
+        assert not out_json.exists()
+
+    def test_pca_dim_equal_to_train_count_runs(self, tiny_dataset_dir, tmp_path):
+        # Six centred train rows have rank 5, so the sixth component is
+        # null; it must get zero coefficients, not NaN.
+        rc, out_json, _ = self.run_eval(
+            tiny_dataset_dir, tmp_path, ["--features", "pca-env", "--pca-dim", "6"]
+        )
+        assert rc == 0
+        payload = json.loads(out_json.read_text())
+        assert sum(map(sum, payload["counts"])) == 3 * 6
+
     def test_bad_classifier_is_config_error(self, tiny_dataset_dir, tmp_path):
         rc = main(["eval", "--in", str(tiny_dataset_dir), "--classifier", "tree"])
         assert rc == 2
@@ -296,7 +323,7 @@ class TestReport:
         assert rc == 0
         again = tmp_path / "again.csv"
         assert main(["report", "--in", str(out_json), "--out", str(again)]) == 0
-        assert again.read_text() == out_csv.read_text()
+        assert again.read_bytes() == out_csv.read_bytes()
 
     def test_missing_report_is_data_error(self, tmp_path):
         rc = main(["report", "--in", str(tmp_path / "no.json"), "--out", str(tmp_path / "x")])

@@ -9,7 +9,9 @@ from mdgest import features, tfr
 from mdgest.harness import (
     ConfusionMatrix,
     EvalProtocol,
+    FeatureTable,
     PipelineConfig,
+    _make_predictor,
     _trial_seed,
     config_hash,
     evaluate,
@@ -19,7 +21,9 @@ from mdgest.harness import (
 )
 from mdgest.classify import svm_predict
 from mdgest.simulate import STREAM_KMEANS, STREAM_SPLIT, STREAM_SVM
+from mdgest.subspace import project
 from test_classify import fit_svm_oracle
+from test_subspace import image_like, svd_oracle
 
 
 def balanced_labels(per_class=10):
@@ -309,6 +313,56 @@ class TestEvaluateSvm:
             cm = evaluate(twelve_records, self.pipe, self.proto, jobs=jobs)
             report(cm, self.pipe, json_path=path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+class TestEvaluatePca:
+    """The pca-* predictor works from one Gram matrix per table; every
+    trial's predictions must equal a thin SVD of that trial's centred
+    train rows, ``project`` and a plain L1 1-NN."""
+
+    proto = EvalProtocol(seed=7)
+
+    def oracle_predictions(self, table, d, trial):
+        tr, te = split(table.labels, self.proto, trial)
+        x = np.asarray(table.vectors, float)
+        model = svd_oracle(x[tr], d)
+        ztr, zte = project(model, x[tr]), project(model, x[te])
+        nearest = [int(np.argmin(np.abs(ztr - z).sum(axis=1))) for z in zte]
+        return tr, te, table.labels[tr][nearest]
+
+    def check_all_trials(self, table, d):
+        pipe = PipelineConfig(features=table.kind, classifier="nn-l1", pca_dim=d)
+        predict = _make_predictor(table, pipe, self.proto)
+        for trial in range(self.proto.trials):
+            tr, te, want = self.oracle_predictions(table, d, trial)
+            np.testing.assert_array_equal(predict(trial, tr, te), want, err_msg=f"trial {trial}")
+        cm = evaluate([], pipe, self.proto, features_table=table)
+        assert cm.trials == self.proto.trials
+
+    def synthetic(self, kind, per_class, dims, seed):
+        rng = np.random.default_rng(seed)
+        labels = np.repeat(np.arange(6), per_class)
+        x = image_like(rng, len(labels), q=dims, rank=min(40, dims))
+        x += 0.02 * rng.random((6, dims)).astype(np.float32)[labels]
+        return FeatureTable(kind=kind, labels=labels, vectors=x)
+
+    def test_images_match_per_trial_svd(self):
+        self.check_all_trials(self.synthetic("pca-spec", 10, 2500, seed=40), d=30)
+
+    def test_more_train_rows_than_dims(self):
+        table = self.synthetic("pca-env", 50, 200, seed=41)
+        assert 35 * 6 > table.vectors.shape[1]
+        self.check_all_trials(table, d=30)
+
+    def test_real_spectrogram_images(self, twelve_records):
+        table = extract_features(twelve_records, PipelineConfig(features="pca-spec"))["pca-spec"]
+        self.check_all_trials(table, d=5)
+
+    def test_dimension_above_train_count_rejected(self):
+        table = self.synthetic("pca-spec", 10, 500, seed=42)
+        with pytest.raises(ValueError, match="out of range"):
+            evaluate([], PipelineConfig(features="pca-spec", pca_dim=43), self.proto,
+                     features_table=table)
 
 
 class TestReport:

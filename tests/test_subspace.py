@@ -6,9 +6,12 @@ import pytest
 from mdgest.simulate import GestureLabel
 from mdgest.subspace import (
     ClassSubspace,
+    PcaModel,
     canonical_correlations,
     class_subspace,
     fit_pca,
+    gram,
+    gram_pca,
     project,
     similarity,
     similarity_table,
@@ -27,6 +30,158 @@ def eigen_oracle(a, b):
     lam = np.linalg.eigvalsh(m @ m.T)
     lam = np.clip(lam, 0.0, 1.0)
     return np.sqrt(lam[::-1])
+
+
+def image_like(rng, m, q=2500, rank=40):
+    """Non-negative float32 rows with a fast-decaying spectrum, like
+    vectorised spectrogram images: the top singular values span several
+    decades and the rows share a large mean."""
+    scales = np.logspace(0, -3, rank)
+    x = 0.3 + (rng.normal(size=(m, rank)) * scales) @ rng.random((rank, q)) / rank
+    x += 1e-6 * rng.normal(size=(m, q))
+    return np.clip(x, 0.0, None).astype(np.float32)
+
+
+def svd_oracle(x, d):
+    """Mean, top-d basis and singular values from the thin SVD of the
+    centred rows: the reference the Gram route must reproduce."""
+    x = np.asarray(x, float)
+    mean = x.mean(axis=0)
+    u, s, _ = np.linalg.svd((x - mean).T, full_matrices=False)
+    return PcaModel(mean=mean, basis=u[:, :d], singular_values=s[:d])
+
+
+def span_cosines(a, b):
+    """Cosines of the principal angles between two column spans."""
+    return np.linalg.svd(a.T @ b, compute_uv=False)
+
+
+def signs(got, want):
+    """Per column, the sign that turns ``got`` towards ``want``."""
+    return np.where((got * want).sum(axis=0) < 0, -1.0, 1.0)
+
+
+# Tolerances, set from float64 round-off: the Gram route squares the
+# spread of the singular values, so a component k resolves to about
+# eps * s_max^2 / s_k^2 relative; the 30 components tested here span
+# two decades of singular value.
+SPAN_TOL = 1e-9
+COEF_RTOL = 1e-9
+
+
+class TestPcaOracle:
+    @pytest.mark.parametrize(
+        "data", ["random", "image-like"], ids=["random", "image-like"]
+    )
+    def test_matches_thin_svd(self, data):
+        rng = np.random.default_rng(20)
+        x = rng.normal(size=(60, 500)) if data == "random" else image_like(rng, 84)
+        d = 30
+        got, want = fit_pca(x, d), svd_oracle(x, d)
+        np.testing.assert_allclose(got.basis.T @ got.basis, np.eye(d), atol=1e-12)
+        np.testing.assert_allclose(span_cosines(got.basis, want.basis), 1.0, atol=SPAN_TOL)
+        np.testing.assert_allclose(got.mean, want.mean, rtol=0, atol=1e-15)
+        s = want.singular_values
+        np.testing.assert_allclose(got.singular_values, s, rtol=0, atol=1e-12 * s[0])
+        z_got = project(got, x)
+        z_want = project(want, x)
+        scale = np.abs(z_want).max()
+        np.testing.assert_allclose(z_got * signs(z_got, z_want), z_want, rtol=0, atol=COEF_RTOL * scale)
+
+    def test_more_samples_than_dims(self):
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(300, 40)) @ np.diag(np.linspace(4.0, 0.5, 40))
+        got, want = fit_pca(x, 40), svd_oracle(x, 40)
+        np.testing.assert_allclose(got.basis.T @ got.basis, np.eye(40), atol=1e-12)
+        np.testing.assert_allclose(span_cosines(got.basis, want.basis), 1.0, atol=SPAN_TOL)
+
+    @pytest.mark.parametrize("case", ["d-equals-m", "duplicated-rows"])
+    def test_degenerate_components_stay_finite(self, case):
+        # Centred rank below d: m rows have rank m - 1 after centring, and
+        # a duplicated row removes one more.  The null columns are an
+        # arbitrary orthonormal completion, as the thin SVD's are.
+        rng = np.random.default_rng(22)
+        x = image_like(rng, 12).astype(float)
+        if case == "duplicated-rows":
+            x[5] = x[4]
+        rank = 11 if case == "d-equals-m" else 10
+        got, want = fit_pca(x, 12), svd_oracle(x, 12)
+        assert np.isfinite(got.basis).all() and np.isfinite(got.singular_values).all()
+        np.testing.assert_allclose(got.basis.T @ got.basis, np.eye(12), atol=1e-12)
+        np.testing.assert_allclose(
+            span_cosines(got.basis[:, :rank], want.basis[:, :rank]), 1.0, atol=SPAN_TOL
+        )
+        z_got = project(got, x)[:, :rank]
+        z_want = project(want, x)[:, :rank]
+        np.testing.assert_allclose(
+            z_got * signs(z_got, z_want), z_want, rtol=0, atol=COEF_RTOL * np.abs(z_want).max()
+        )
+
+
+class TestGramPca:
+    def split(self, m, seed=23):
+        perm = np.random.default_rng(seed).permutation(m)
+        return np.sort(perm[: 7 * m // 10]), np.sort(perm[7 * m // 10 :])
+
+    def oracle(self, x, tr, te, d):
+        model = svd_oracle(x[tr], d)
+        return project(model, np.asarray(x[tr], float)), project(model, np.asarray(x[te], float))
+
+    @pytest.mark.parametrize("shape", [(84, 2500), (300, 200)], ids=["m<q", "m>q"])
+    def test_matches_fit_and_project(self, shape):
+        rng = np.random.default_rng(24)
+        x = image_like(rng, *shape, rank=min(40, shape[1]))
+        tr, te = self.split(shape[0])
+        ztr, zte = gram_pca(gram(x), x.shape[1], tr, te, 30)
+        otr, ote = self.oracle(x, tr, te, 30)
+        scale = np.abs(otr).max()
+        flip = signs(ztr, otr)
+        np.testing.assert_allclose(ztr * flip, otr, rtol=0, atol=COEF_RTOL * scale)
+        np.testing.assert_allclose(zte * flip, ote, rtol=0, atol=COEF_RTOL * scale)
+
+    def test_common_shift_of_the_rows_cancels(self):
+        # Each trial centres on its own train mean, never the table's.
+        rng = np.random.default_rng(25)
+        x = rng.normal(size=(40, 60))
+        tr, te = self.split(40)
+        a = gram_pca(gram(x), 60, tr, te, 5)
+        b = gram_pca(x @ x.T, 60, tr, te, 5)
+        for u, v in zip(a, b):
+            np.testing.assert_allclose(u, v, rtol=0, atol=1e-10)
+
+    def test_orientation_is_fixed_on_train_coefficients(self):
+        rng = np.random.default_rng(26)
+        x = rng.normal(size=(40, 60))
+        tr, te = self.split(40)
+        ztr, _ = gram_pca(gram(x), 60, tr, te, 5)
+        for j in range(5):
+            assert ztr[np.argmax(np.abs(ztr[:, j])), j] > 0
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e3])
+    @pytest.mark.parametrize("case", ["d-equals-m", "duplicated-rows"])
+    def test_null_components_get_zero_coefficients(self, case, scale):
+        # The threshold is relative: at either scale the null components
+        # are found, and no real one is taken for null.
+        rng = np.random.default_rng(27)
+        x = image_like(rng, 20).astype(float) * scale
+        tr, te = np.arange(12), np.arange(12, 20)
+        if case == "duplicated-rows":
+            x[5] = x[4]
+        rank = 11 if case == "d-equals-m" else 10
+        ztr, zte = gram_pca(gram(x), x.shape[1], tr, te, 12)
+        assert np.isfinite(ztr).all() and np.isfinite(zte).all()
+        assert not ztr[:, rank:].any() and not zte[:, rank:].any()
+        otr, ote = self.oracle(x, tr, te, rank)
+        scale = np.abs(otr).max()
+        flip = signs(ztr[:, :rank], otr)
+        np.testing.assert_allclose(ztr[:, :rank] * flip, otr, rtol=0, atol=COEF_RTOL * scale)
+        np.testing.assert_allclose(zte[:, :rank] * flip, ote, rtol=0, atol=COEF_RTOL * scale)
+
+    @pytest.mark.parametrize("d", [0, 13, 61])
+    def test_rank_bounds_enforced(self, d):
+        x = np.random.default_rng(28).normal(size=(20, 60))
+        with pytest.raises(ValueError, match="out of range"):
+            gram_pca(gram(x), 60, np.arange(12), np.arange(12, 20), d)
 
 
 class TestPca:
@@ -109,6 +264,17 @@ class TestClassSubspace:
         x = np.outer([1.0, 2.0, 5.0], v)
         sub = class_subspace(x, d=1)
         np.testing.assert_allclose(sub.basis[:, 0], v / 5.0, atol=1e-12)
+
+
+    @pytest.mark.parametrize("data", ["random", "image-like"])
+    def test_matches_thin_svd_span(self, data):
+        rng = np.random.default_rng(29)
+        x = rng.normal(size=(30, 400)) if data == "random" else image_like(rng, 120)
+        d = 10
+        got = class_subspace(x, d)
+        u, _, _ = np.linalg.svd(np.asarray(x, float).T, full_matrices=False)
+        np.testing.assert_allclose(got.basis.T @ got.basis, np.eye(d), atol=1e-12)
+        np.testing.assert_allclose(span_cosines(got.basis, u[:, :d]), 1.0, atol=SPAN_TOL)
 
 
 class TestCanonicalCorrelations:
@@ -194,6 +360,17 @@ class TestSimilarityTable:
         i = table.labels.index(GestureLabel.PUSH_PULL)
         j = table.labels.index(GestureLabel.CROSS)
         assert table.values[i, j] == pytest.approx(1.0, abs=1e-9)
+
+    def test_duplicated_image_like_class_pairs_at_one(self):
+        rng = np.random.default_rng(15)
+        samples = {lab: list(image_like(rng, 20, q=1000)) for lab in GestureLabel}
+        samples[GestureLabel.CROSS] = [v.copy() for v in samples[GestureLabel.PUSH_PULL]]
+        table = similarity_table(samples, d=10)
+        i = table.labels.index(GestureLabel.PUSH_PULL)
+        j = table.labels.index(GestureLabel.CROSS)
+        assert table.values[i, j] == pytest.approx(1.0, abs=1e-9)
+        off = table.values[~np.eye(6, dtype=bool)]
+        assert np.sort(off)[-3] < 1.0 - 1e-6
 
     def test_small_class_rejected_with_letter(self):
         samples = self.class_samples(np.random.default_rng(13))
