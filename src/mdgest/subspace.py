@@ -58,9 +58,10 @@ def _span_basis(x: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 # Eigenvalues of a centred Gram matrix below this share of the largest
-# are taken as zero: eigh resolves them only to about m * eps * lam_max,
-# and a duplicated train row or a full-rank pca_dim produces them.
-NULL_RTOL = 1e-12
+# are taken as zero: eigh resolves them only to about m * eps * lam_max.
+# A pca_dim equal to the train count, or a duplicated train row, makes
+# such components.
+_NULL_RTOL = 1e-12
 
 
 @dataclass
@@ -108,7 +109,7 @@ def gram_pca(g: np.ndarray, dims: int, train, test, d: int) -> tuple[np.ndarray,
     coefficients are V sqrt(L) for the eigenpairs (L, V) of the
     train-centred train block, test coefficients the train-centred
     cross block times V / sqrt(L).  A component with an eigenvalue
-    below ``NULL_RTOL`` times the largest has no direction to project
+    below ``_NULL_RTOL`` times the largest has no direction to project
     on and gets coefficient 0 on both sides.  Each component is
     oriented so that its largest-magnitude train coefficient is
     positive.
@@ -119,8 +120,8 @@ def gram_pca(g: np.ndarray, dims: int, train, test, d: int) -> tuple[np.ndarray,
     r = g_tt.mean(axis=1)
     r_bar = r.mean()
     lam, v = _top_eigh(g_tt - r[:, None] - r[None, :] + r_bar, d)
-    v = _fix_signs(v.copy())
-    keep = lam > NULL_RTOL * lam[0]
+    v = _fix_signs(v)
+    keep = lam > _NULL_RTOL * lam[0]
     root = np.sqrt(np.where(keep, lam, 1.0))
     g_et = g[np.ix_(test, train)]
     g_et = g_et - g_et.mean(axis=1, keepdims=True) - r[None, :] + r_bar

@@ -63,16 +63,14 @@ def signs(got, want):
 
 # Tolerances, set from float64 round-off: the Gram route squares the
 # spread of the singular values, so a component k resolves to about
-# eps * s_max^2 / s_k^2 relative; the 30 components tested here span
-# two decades of singular value.
+# eps * s_max^2 / s_k^2 relative, and the 30 components tested here span
+# about two decades of singular value.
 SPAN_TOL = 1e-9
 COEF_RTOL = 1e-9
 
 
 class TestPcaOracle:
-    @pytest.mark.parametrize(
-        "data", ["random", "image-like"], ids=["random", "image-like"]
-    )
+    @pytest.mark.parametrize("data", ["random", "image-like"])
     def test_matches_thin_svd(self, data):
         rng = np.random.default_rng(20)
         x = rng.normal(size=(60, 500)) if data == "random" else image_like(rng, 84)
@@ -172,10 +170,10 @@ class TestGramPca:
         assert np.isfinite(ztr).all() and np.isfinite(zte).all()
         assert not ztr[:, rank:].any() and not zte[:, rank:].any()
         otr, ote = self.oracle(x, tr, te, rank)
-        scale = np.abs(otr).max()
+        atol = COEF_RTOL * np.abs(otr).max()
         flip = signs(ztr[:, :rank], otr)
-        np.testing.assert_allclose(ztr[:, :rank] * flip, otr, rtol=0, atol=COEF_RTOL * scale)
-        np.testing.assert_allclose(zte[:, :rank] * flip, ote, rtol=0, atol=COEF_RTOL * scale)
+        np.testing.assert_allclose(ztr[:, :rank] * flip, otr, rtol=0, atol=atol)
+        np.testing.assert_allclose(zte[:, :rank] * flip, ote, rtol=0, atol=atol)
 
     @pytest.mark.parametrize("d", [0, 13, 61])
     def test_rank_bounds_enforced(self, d):
@@ -264,7 +262,6 @@ class TestClassSubspace:
         x = np.outer([1.0, 2.0, 5.0], v)
         sub = class_subspace(x, d=1)
         np.testing.assert_allclose(sub.basis[:, 0], v / 5.0, atol=1e-12)
-
 
     @pytest.mark.parametrize("data", ["random", "image-like"])
     def test_matches_thin_svd_span(self, data):
