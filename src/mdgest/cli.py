@@ -208,16 +208,14 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     ds = _load_dataset(args.indir)
-    classes, sizes = np.unique(ds.labels(), return_counts=True)
-    if sizes.size and sizes.min() < 2:
-        small = simulate.GestureLabel(int(classes[sizes.argmin()])).letter
-        raise DataError(f"class {small} has fewer than 2 records; a split needs train and test")
     pipe = _pipeline_from_args(args)
     try:
         protocol = harness.EvalProtocol(
             train_fraction=args.train_fraction, trials=args.trials, seed=args.seed
         )
         cm = harness.evaluate(ds, pipe, protocol, jobs=args.jobs)
+    except harness.SmallClassError as e:
+        raise DataError(str(e)) from e
     except ValueError as e:
         raise ConfigError(str(e)) from e
     harness.report(cm, pipe, json_path=args.out_json, csv_path=args.out_csv)

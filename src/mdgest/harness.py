@@ -79,6 +79,11 @@ def config_hash(pipeline: PipelineConfig, protocol: EvalProtocol) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+class SmallClassError(ValueError):
+    """A class has too few records to split into train and test: a fault
+    of the data, not of the protocol settings."""
+
+
 def split(
     labels: np.ndarray, protocol: EvalProtocol, trial: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -96,7 +101,7 @@ def split(
     for c in np.unique(labels):
         idx = np.flatnonzero(labels == c)
         if len(idx) < 2:
-            raise ValueError(f"class {c} has fewer than 2 samples")
+            raise SmallClassError(f"class {GestureLabel(c).letter} has fewer than 2 samples")
         n_train = math.floor(protocol.train_fraction * len(idx))
         if n_train < 1 or n_train == len(idx):
             raise ValueError("split leaves a class without train or test samples")
@@ -322,13 +327,26 @@ def _make_predictor(table: FeatureTable, pipe: PipelineConfig, protocol: EvalPro
     metric = classify.DistanceKind.parse(clf[3:])
 
     if feats.startswith("pca-"):
-        # One Gram matrix of the whole table; each trial's PCA then works
-        # on its rows and columns alone (subspace.gram_pca).
-        gram = subspace.gram(table.vectors)
+        # Both routes give the same coefficients.  With more dims than
+        # train rows (the 10 000-pixel images), one Gram matrix of the
+        # whole table serves every trial, which then works on its rows and
+        # columns alone; otherwise (the envelopes of a large corpus) a thin
+        # SVD of each trial's train rows costs less than the eigh of their
+        # Gram block.  Every trial has the same train count.
         dims = table.vectors.shape[1]
+        if dims > len(split(table.labels, protocol, 0)[0]):
+            gram = subspace.gram(table.vectors)
+
+            def coefficients(tr, te):
+                return subspace.gram_pca(gram, dims, tr, te, pipe.pca_dim)
+
+        else:
+
+            def coefficients(tr, te):
+                return subspace.svd_pca(table.vectors[tr], table.vectors[te], pipe.pca_dim)
 
         def predict(trial, tr, te):
-            ztr, zte = subspace.gram_pca(gram, dims, tr, te, pipe.pca_dim)
+            ztr, zte = coefficients(tr, te)
             d = classify.pairwise_distances(zte, ztr, metric)
             return table.labels[tr][d.argmin(axis=1)]
 

@@ -36,25 +36,12 @@ def _check_dim(d: int, m: int, q: int) -> None:
         raise ValueError(f"d={d} out of range for {m} samples of dim {q}")
 
 
-def _top_eigh(gram: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The d largest eigenvalues of a symmetric Gram matrix, descending,
-    with their eigenvectors as columns."""
-    lam, v = np.linalg.eigh(gram)
-    return lam[::-1][:d], v[:, ::-1][:, :d]
-
-
-def _span_basis(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the columns of x' v, sign-fixed.
-
-    For eigenvectors v of x x' these columns are the left singular
-    vectors of x' scaled by the singular values (the method of
-    snapshots), so the m x m eigenproblem stands in for a thin SVD of
-    the long (dims x m) matrix.  The thin QR normalises them and keeps
-    the basis orthonormal where the smaller singular values are
-    resolved only roughly.
-    """
-    q, _ = np.linalg.qr(x.T @ v)
-    return _fix_signs(q)
+def _orient(ztr: np.ndarray, zte: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # deterministic orientation: each component's largest-|entry| train
+    # coefficient made positive, the test coefficients flipped with it
+    top = ztr[np.abs(ztr).argmax(axis=0), np.arange(ztr.shape[1])]
+    flip = np.where(top < 0, -1.0, 1.0)
+    return ztr * flip, zte * flip
 
 
 # Eigenvalues of a centred Gram matrix below this share of the largest
@@ -68,7 +55,7 @@ _NULL_RTOL = 1e-12
 class PcaModel:
     mean: np.ndarray
     basis: np.ndarray  # (dims, d), orthonormal columns
-    singular_values: np.ndarray  # (d,), descending
+    singular_values: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -81,11 +68,8 @@ def fit_pca(samples, d: int) -> PcaModel:
     m, q = x.shape
     _check_dim(d, m, q)
     mean = x.mean(axis=0)
-    xc = x - mean
-    lam, v = _top_eigh(xc @ xc.T, d)
-    return PcaModel(
-        mean=mean, basis=_span_basis(xc, v), singular_values=np.sqrt(np.clip(lam, 0.0, None))
-    )
+    u, s, _ = np.linalg.svd((x - mean).T, full_matrices=False)
+    return PcaModel(mean=mean, basis=_fix_signs(u[:, :d].copy()), singular_values=s)
 
 
 def gram(samples) -> np.ndarray:
@@ -104,28 +88,43 @@ def gram_pca(g: np.ndarray, dims: int, train, test, d: int) -> tuple[np.ndarray,
 
     ``g`` is ``gram`` of every row of a (rows x ``dims``) table; the
     principal directions are those ``fit_pca`` finds for the train
-    rows, and the coefficients equal ``project`` onto them up to the
-    sign of each component.  No ``dims``-long row is touched: train
-    coefficients are V sqrt(L) for the eigenpairs (L, V) of the
-    train-centred train block, test coefficients the train-centred
-    cross block times V / sqrt(L).  A component with an eigenvalue
-    below ``_NULL_RTOL`` times the largest has no direction to project
-    on and gets coefficient 0 on both sides.  Each component is
-    oriented so that its largest-magnitude train coefficient is
-    positive.
+    rows, and the coefficients equal ``svd_pca``'s.  No ``dims``-long
+    row is touched: train coefficients are V sqrt(L) for the eigenpairs
+    (L, V) of the train-centred train block, test coefficients the
+    train-centred cross block times V / sqrt(L).  This is the method of
+    snapshots: an eigh of the m x m train block stands in for a thin SVD
+    of the (m x dims) train rows, which pays when m is well below dims.
+    A component with an eigenvalue below ``_NULL_RTOL`` times the
+    largest has no direction to project on and gets coefficient 0 on
+    both sides.  Each component is oriented so that its
+    largest-magnitude train coefficient is positive.
     """
     train, test = np.asarray(train), np.asarray(test)
     _check_dim(d, len(train), dims)
     g_tt = g[np.ix_(train, train)]
     r = g_tt.mean(axis=1)
     r_bar = r.mean()
-    lam, v = _top_eigh(g_tt - r[:, None] - r[None, :] + r_bar, d)
-    v = _fix_signs(v)
+    lam, v = np.linalg.eigh(g_tt - r[:, None] - r[None, :] + r_bar)
+    lam, v = lam[::-1][:d], v[:, ::-1][:, :d]
     keep = lam > _NULL_RTOL * lam[0]
     root = np.sqrt(np.where(keep, lam, 1.0))
     g_et = g[np.ix_(test, train)]
     g_et = g_et - g_et.mean(axis=1, keepdims=True) - r[None, :] + r_bar
-    return v * np.where(keep, root, 0.0), (g_et @ v) * np.where(keep, 1.0 / root, 0.0)
+    return _orient(v * np.where(keep, root, 0.0), (g_et @ v) * np.where(keep, 1.0 / root, 0.0))
+
+
+def svd_pca(train_rows, test_rows, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """PCA coefficients of train and test rows, from a thin SVD of the
+    centred train rows (``fit_pca`` and ``project``).
+
+    Same coefficients, null components and orientation as ``gram_pca``;
+    the cheaper route when the rows have no more dims than there are
+    train rows.
+    """
+    model = fit_pca(train_rows, d)
+    lam = model.singular_values[:d] ** 2
+    keep = lam > _NULL_RTOL * lam[0]
+    return _orient(project(model, train_rows) * keep, project(model, test_rows) * keep)
 
 
 def project(model: PcaModel, x: np.ndarray) -> np.ndarray:
@@ -150,8 +149,8 @@ def class_subspace(samples, d: int) -> ClassSubspace:
     x = _as_matrix(samples)
     m, q = x.shape
     _check_dim(d, m, q)
-    _, v = _top_eigh(x @ x.T, d)
-    return ClassSubspace(basis=_span_basis(x, v))
+    u, _, _ = np.linalg.svd(x.T, full_matrices=False)
+    return ClassSubspace(basis=_fix_signs(u[:, :d].copy()))
 
 
 def canonical_correlations(a: ClassSubspace, b: ClassSubspace) -> np.ndarray:

@@ -5,12 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from mdgest import features, tfr
+from mdgest import features, subspace, tfr
 from mdgest.harness import (
     ConfusionMatrix,
     EvalProtocol,
     FeatureTable,
     PipelineConfig,
+    SmallClassError,
     _make_predictor,
     _trial_seed,
     config_hash,
@@ -19,7 +20,7 @@ from mdgest.harness import (
     report,
     split,
 )
-from mdgest.classify import svm_predict
+from mdgest.classify import emd_1d, svm_predict
 from mdgest.simulate import STREAM_KMEANS, STREAM_SPLIT, STREAM_SVM
 from mdgest.subspace import project
 from test_classify import fit_svm_oracle
@@ -57,7 +58,8 @@ class TestSplit:
         assert sorted(set(tr) | set(te)) == list(range(len(labels)))
 
     def test_tiny_class_rejected(self):
-        with pytest.raises(ValueError, match="fewer than 2"):
+        # A data fault, told apart from a bad protocol (mdg eval exits 3).
+        with pytest.raises(SmallClassError, match="class b has fewer than 2"):
             split(np.array([0, 0, 1]), EvalProtocol(), 0)
 
     def test_fraction_leaving_empty_train_rejected(self):
@@ -316,25 +318,34 @@ class TestEvaluateSvm:
 
 
 class TestEvaluatePca:
-    """The pca-* predictor works from one Gram matrix per table; every
-    trial's predictions must equal a thin SVD of that trial's centred
-    train rows, ``project`` and a plain L1 1-NN."""
+    """The pca-* predictor works from one Gram matrix per table when the
+    rows have more dims than a trial has train rows, and from a thin SVD
+    of each trial's train rows otherwise; either way every trial's
+    predictions must equal a thin SVD of that trial's centred train
+    rows, ``project`` and a plain 1-NN.  For nn-emd, which sees signs,
+    the oracle orients each component so that its largest-magnitude
+    train coefficient is positive."""
 
     proto = EvalProtocol(seed=7)
 
-    def oracle_predictions(self, table, d, trial):
+    def oracle_predictions(self, table, d, trial, classifier):
         tr, te = split(table.labels, self.proto, trial)
         x = np.asarray(table.vectors, float)
         model = svd_oracle(x[tr], d)
         ztr, zte = project(model, x[tr]), project(model, x[te])
-        nearest = [int(np.argmin(np.abs(ztr - z).sum(axis=1))) for z in zte]
+        if classifier == "nn-emd":
+            top = ztr[np.abs(ztr).argmax(axis=0), np.arange(d)]
+            ztr, zte = ztr * np.sign(top), zte * np.sign(top)
+            nearest = [int(np.argmin([emd_1d(z, t) for t in ztr])) for z in zte]
+        else:
+            nearest = [int(np.argmin(np.abs(ztr - z).sum(axis=1))) for z in zte]
         return tr, te, table.labels[tr][nearest]
 
-    def check_all_trials(self, table, d):
-        pipe = PipelineConfig(features=table.kind, classifier="nn-l1", pca_dim=d)
+    def check_all_trials(self, table, d, classifier="nn-l1"):
+        pipe = PipelineConfig(features=table.kind, classifier=classifier, pca_dim=d)
         predict = _make_predictor(table, pipe, self.proto)
         for trial in range(self.proto.trials):
-            tr, te, want = self.oracle_predictions(table, d, trial)
+            tr, te, want = self.oracle_predictions(table, d, trial, classifier)
             np.testing.assert_array_equal(predict(trial, tr, te), want, err_msg=f"trial {trial}")
 
     def synthetic(self, kind, per_class, dims, seed):
@@ -351,6 +362,24 @@ class TestEvaluatePca:
         table = self.synthetic("pca-env", 50, 200, seed=41)
         assert 35 * 6 > table.vectors.shape[1]
         self.check_all_trials(table, d=30)
+
+    @pytest.mark.parametrize(
+        "kind,per_class,dims", [("pca-spec", 10, 2500), ("pca-env", 50, 200)], ids=["m<q", "m>q"]
+    )
+    def test_emd_follows_the_train_orientation(self, kind, per_class, dims):
+        self.check_all_trials(self.synthetic(kind, per_class, dims, seed=42), 10, "nn-emd")
+
+    @pytest.mark.parametrize("per_class,route", [(10, "gram_pca"), (50, "svd_pca")])
+    def test_route_follows_train_count(self, per_class, route, monkeypatch):
+        # 6 x 7 train rows are fewer than 200 dims, 6 x 35 are more.
+        table = self.synthetic("pca-env", per_class, 200, seed=43)
+        calls = []
+        real = getattr(subspace, route)
+        monkeypatch.setattr(subspace, route, lambda *a: calls.append(1) or real(*a))
+        pipe = PipelineConfig(features="pca-env", classifier="nn-l1", pca_dim=5)
+        predict = _make_predictor(table, pipe, self.proto)
+        predict(0, *split(table.labels, self.proto, 0))
+        assert calls == [1]
 
     def test_real_spectrogram_images(self, twelve_records):
         table = extract_features(twelve_records, PipelineConfig(features="pca-spec"))["pca-spec"]

@@ -15,6 +15,7 @@ from mdgest.subspace import (
     project,
     similarity,
     similarity_table,
+    svd_pca,
 )
 from mdgest.tfr import GrayImage
 
@@ -44,7 +45,7 @@ def image_like(rng, m, q=2500, rank=40):
 
 def svd_oracle(x, d):
     """Mean, top-d basis and singular values from the thin SVD of the
-    centred rows: the reference the Gram route must reproduce."""
+    centred rows: the reference both PCA routes must reproduce."""
     x = np.asarray(x, float)
     mean = x.mean(axis=0)
     u, s, _ = np.linalg.svd((x - mean).T, full_matrices=False)
@@ -64,7 +65,8 @@ def signs(got, want):
 # Tolerances, set from float64 round-off: the Gram route squares the
 # spread of the singular values, so a component k resolves to about
 # eps * s_max^2 / s_k^2 relative, and the 30 components tested here span
-# about two decades of singular value.
+# about two decades of singular value.  fit_pca and class_subspace take
+# a thin SVD and meet them with a wide margin.
 SPAN_TOL = 1e-9
 COEF_RTOL = 1e-9
 
@@ -80,7 +82,7 @@ class TestPcaOracle:
         np.testing.assert_allclose(span_cosines(got.basis, want.basis), 1.0, atol=SPAN_TOL)
         np.testing.assert_allclose(got.mean, want.mean, rtol=0, atol=1e-15)
         s = want.singular_values
-        np.testing.assert_allclose(got.singular_values, s, rtol=0, atol=1e-12 * s[0])
+        np.testing.assert_allclose(got.singular_values[:d], s, rtol=0, atol=1e-12 * s[0])
         z_got = project(got, x)
         z_want = project(want, x)
         scale = np.abs(z_want).max()
@@ -116,7 +118,21 @@ class TestPcaOracle:
         )
 
 
-class TestGramPca:
+def coefficients(route, x, tr, te, d):
+    """Train and test PCA coefficients by one of the two routes."""
+    if route == "gram":
+        return gram_pca(gram(x), x.shape[1], tr, te, d)
+    return svd_pca(x[tr], x[te], d)
+
+
+ROUTES = ["gram", "svd"]
+
+
+class TestPcaCoefficients:
+    """``gram_pca`` (method of snapshots) and ``svd_pca`` (thin SVD of
+    the train rows) must both equal ``project`` onto the oracle's basis,
+    up to one orientation they share."""
+
     def split(self, m, seed=23):
         perm = np.random.default_rng(seed).permutation(m)
         return np.sort(perm[: 7 * m // 10]), np.sort(perm[7 * m // 10 :])
@@ -125,17 +141,31 @@ class TestGramPca:
         model = svd_oracle(x[tr], d)
         return project(model, np.asarray(x[tr], float)), project(model, np.asarray(x[te], float))
 
+    @pytest.mark.parametrize("route", ROUTES)
     @pytest.mark.parametrize("shape", [(84, 2500), (300, 200)], ids=["m<q", "m>q"])
-    def test_matches_fit_and_project(self, shape):
+    def test_matches_fit_and_project(self, shape, route):
         rng = np.random.default_rng(24)
         x = image_like(rng, *shape, rank=min(40, shape[1]))
         tr, te = self.split(shape[0])
-        ztr, zte = gram_pca(gram(x), x.shape[1], tr, te, 30)
+        ztr, zte = coefficients(route, x, tr, te, 30)
         otr, ote = self.oracle(x, tr, te, 30)
         scale = np.abs(otr).max()
         flip = signs(ztr, otr)
         np.testing.assert_allclose(ztr * flip, otr, rtol=0, atol=COEF_RTOL * scale)
         np.testing.assert_allclose(zte * flip, ote, rtol=0, atol=COEF_RTOL * scale)
+
+    @pytest.mark.parametrize("shape", [(84, 2500), (300, 200)], ids=["m<q", "m>q"])
+    def test_routes_agree_with_signs(self, shape):
+        # The predictor picks a route by shape; a sign-sensitive metric
+        # (nn-emd) must not see which one ran.
+        rng = np.random.default_rng(30)
+        x = image_like(rng, *shape, rank=min(40, shape[1]))
+        tr, te = self.split(shape[0])
+        a = coefficients("gram", x, tr, te, 30)
+        b = coefficients("svd", x, tr, te, 30)
+        scale = np.abs(a[0]).max()
+        for u, v in zip(a, b):
+            np.testing.assert_allclose(u, v, rtol=0, atol=COEF_RTOL * scale)
 
     def test_common_shift_of_the_rows_cancels(self):
         # Each trial centres on its own train mean, never the table's.
@@ -147,17 +177,19 @@ class TestGramPca:
         for u, v in zip(a, b):
             np.testing.assert_allclose(u, v, rtol=0, atol=1e-10)
 
-    def test_orientation_is_fixed_on_train_coefficients(self):
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_orientation_is_fixed_on_train_coefficients(self, route):
         rng = np.random.default_rng(26)
         x = rng.normal(size=(40, 60))
         tr, te = self.split(40)
-        ztr, _ = gram_pca(gram(x), 60, tr, te, 5)
+        ztr, _ = coefficients(route, x, tr, te, 5)
         for j in range(5):
             assert ztr[np.argmax(np.abs(ztr[:, j])), j] > 0
 
-    @pytest.mark.parametrize("scale", [1e-3, 1e3])
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("scale", [1e-7, 1e3])
     @pytest.mark.parametrize("case", ["d-equals-m", "duplicated-rows"])
-    def test_null_components_get_zero_coefficients(self, case, scale):
+    def test_null_components_get_zero_coefficients(self, case, scale, route):
         # The threshold is relative: at either scale the null components
         # are found, and no real one is taken for null.
         rng = np.random.default_rng(27)
@@ -166,7 +198,7 @@ class TestGramPca:
         if case == "duplicated-rows":
             x[5] = x[4]
         rank = 11 if case == "d-equals-m" else 10
-        ztr, zte = gram_pca(gram(x), x.shape[1], tr, te, 12)
+        ztr, zte = coefficients(route, x, tr, te, 12)
         assert np.isfinite(ztr).all() and np.isfinite(zte).all()
         assert not ztr[:, rank:].any() and not zte[:, rank:].any()
         otr, ote = self.oracle(x, tr, te, rank)
@@ -175,11 +207,12 @@ class TestGramPca:
         np.testing.assert_allclose(ztr[:, :rank] * flip, otr, rtol=0, atol=atol)
         np.testing.assert_allclose(zte[:, :rank] * flip, ote, rtol=0, atol=atol)
 
+    @pytest.mark.parametrize("route", ROUTES)
     @pytest.mark.parametrize("d", [0, 13, 61])
-    def test_rank_bounds_enforced(self, d):
+    def test_rank_bounds_enforced(self, d, route):
         x = np.random.default_rng(28).normal(size=(20, 60))
         with pytest.raises(ValueError, match="out of range"):
-            gram_pca(gram(x), 60, np.arange(12), np.arange(12, 20), d)
+            coefficients(route, x, np.arange(12), np.arange(12, 20), d)
 
 
 class TestPca:
