@@ -14,7 +14,7 @@ from .simulate import (
 )
 from .tfr import GrayImage, Spectrogram, StftConfig, spectrogram, stft_power, to_gray, vectorize
 from .segmentation import MotionInterval, PbcConfig, detect, pbc, segment_record, smooth, window
-from .envelope import EnvelopeConfig, EnvelopePair, FeatureVector, extract, half_energies
+from .envelope import EnvelopeConfig, EnvelopePair, FeatureVector, extract
 from .features import EmpiricalFeatures, Trajectory, central_trajectory, empirical, trajectory
 from .subspace import (
     ClassSubspace,

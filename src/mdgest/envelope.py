@@ -15,6 +15,7 @@ matrix, which makes extraction invariant to overall signal scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,29 +80,53 @@ class FeatureVector:
     kind: str = "envelope"
 
 
-def half_energies(spec: Spectrogram) -> tuple[np.ndarray, np.ndarray]:
-    """Column sums of squared power over each half of the spectrum.
+class IncompleteBand(ValueError):
+    """The rows a band-limited spectrogram left out could change its envelope."""
 
-    Returns (upper, lower); the zero-frequency row belongs to neither.
+
+# The measured energy of the rows a band-limited STFT leaves out is within
+# this factor of the sum the complete matrix would give them (float32
+# rounding of the measurement and of the normalization).
+_OUTSIDE_ERROR = 1.02
+
+
+def _total_bound(total: float, outside: float) -> float:
+    """Upper bound on a float32 running total ``total`` after adding
+    nonnegative terms that sum to ``outside``.
+
+    A term under half a unit in the last place leaves the total as it is;
+    a larger one raises it by at most twice its size while the total
+    stays in its binade, and by at most three times otherwise.
     """
-    sq = spec.power**2
-    return (
-        sq[spec.freq_hz > 0].sum(axis=0),
-        sq[spec.freq_hz < 0].sum(axis=0),
-    )
+    high = total + 3.0 * outside
+    same_binade = math.frexp(high)[1] == math.frexp(total)[1]
+    return total + (2.0 if same_binade else 3.0) * outside
 
 
-def _effective_band(sq: np.ndarray, absf: np.ndarray, in_band: np.ndarray, frac: float) -> float:
+def _effective_band(
+    sq: np.ndarray, absf: np.ndarray, in_band: np.ndarray, frac: float, outside_sq: float = 0.0
+) -> float:
     """Smallest symmetric |f| radius containing ``frac`` of the in-band
-    squared-power energy."""
+    squared-power energy.
+
+    ``outside_sq`` is the normalized squared-power energy of rows missing
+    from ``sq``, all farther out than every row present.  The radius is
+    the one the complete matrix gives; where those rows could move it,
+    ``IncompleteBand`` is raised instead.
+    """
     rows = np.flatnonzero(in_band)
     energy = sq[rows].sum(axis=1)
     order = np.argsort(absf[rows], kind="stable")
     cum = np.cumsum(energy[order])
     total = cum[-1]
     if total <= 0.0:
+        if outside_sq > 0.0:
+            raise IncompleteBand("all in-band energy lies outside the band")
         return 0.0
     k = int(np.searchsorted(cum, frac * total))
+    high = _total_bound(float(total), _OUTSIDE_ERROR * outside_sq)
+    if outside_sq > 0.0 and cum[k] < frac * high * (1 + 1e-6):
+        raise IncompleteBand("the rows outside the band could move the effective band")
     return float(absf[rows][order][min(k, len(rows) - 1)])
 
 
@@ -140,8 +165,15 @@ def extract(spec: Spectrogram, cfg: EnvelopeConfig = EnvelopeConfig()) -> Envelo
     ungated column from the band edge inward for the first cell at or
     above sigma times the column energy.  Traces are linearly resampled
     to ``points_per_side`` samples.
+
+    A band-limited spectrogram (``tfr.stft_power`` with a band) gives
+    the envelope of the complete one, or raises ``IncompleteBand`` where
+    the rows it left out could change it.
     """
     peak = spec.power.max() if spec.power.size else 0.0
+    out_peak, out_sq = spec.outside or (0.0, 0.0)
+    if out_peak > peak:
+        raise IncompleteBand("the peak power may lie outside the band")
     n_pts = cfg.points_per_side
     if spec.n_cols >= 2:
         grid = np.linspace(spec.time_s[0], spec.time_s[-1], n_pts)
@@ -156,7 +188,7 @@ def extract(spec: Spectrogram, cfg: EnvelopeConfig = EnvelopeConfig()) -> Envelo
     f = spec.freq_hz
     absf = np.abs(f)
     in_band = absf >= cfg.f_min_hz
-    f_edge = _effective_band(sq, absf, in_band, cfg.band_energy_frac)
+    f_edge = _effective_band(sq, absf, in_band, cfg.band_energy_frac, out_sq / float(peak) ** 2)
     if f_edge < cfg.f_min_hz:
         return EnvelopePair(np.zeros(n_pts), np.zeros(n_pts), grid, bin_hz)
 

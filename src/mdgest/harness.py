@@ -122,34 +122,35 @@ class FeatureTable:
     trajectories: list | None = None
 
 
-def _pick_interval(curve, time_s, intervals):
-    """The detected interval with the most smoothed burst energy."""
-    best, best_sum = None, -1.0
-    for iv in intervals:
-        sel = (time_s >= iv.start_s) & (time_s < iv.end_s)
-        s = float(curve[sel].sum())
-        if s > best_sum:
-            best, best_sum = iv, s
-    return best
-
-
 def _record_features(record, pipe: PipelineConfig, kinds: tuple[str, ...]) -> dict:
-    spec = tfr.spectrogram(record, pipe.stft)
+    # Every kind reads only rows inside the image band or the burst-curve
+    # band, so both spectrograms keep just the rows that cover them; the
+    # one the envelope reads also measures the rest (see envelope.extract).
+    band = max(pipe.image_band_hz, pipe.pbc.band_hz)
+    need_env = bool({"envelope", "empirical", "pca-env", "pca-envimg"} & set(kinds))
     # The sparse-trajectory decomposition is defined on the record as
     # measured; recentering belongs to the segment-based pipelines, so a
     # request for trajectories alone skips it.
+    recenter = pipe.recenter and bool(set(kinds) - {"trajectory"})
+    spec = tfr.spectrogram(record, pipe.stft, band, need_env and not recenter)
     raw_spec = spec
-    if pipe.recenter and set(kinds) - {"trajectory"}:
-        curve = segmentation.smooth(segmentation.pbc(spec, pipe.pbc), pipe.pbc.smooth_len)
-        intervals = segmentation.detect(curve, spec.time_s, pipe.pbc)
-        if intervals:
-            iv = _pick_interval(curve, spec.time_s, intervals)
-            record = segmentation.window(record, iv, record.duration_s)
-            spec = tfr.spectrogram(record, pipe.stft)
+    # The strongest burst of ``spec``, computed once per spectrogram.
+    burst = None
+    if recenter or "empirical" in kinds:
+        burst = segmentation.bursts(spec, pipe.pbc)[1]
+    if recenter and burst is not None:
+        record = segmentation.window(record, burst, record.duration_s)
+        spec = tfr.spectrogram(record, pipe.stft, band, need_env)
+        if "empirical" in kinds:
+            burst = segmentation.bursts(spec, pipe.pbc)[1]
 
     out: dict = {}
-    need_env = {"envelope", "empirical", "pca-env", "pca-envimg"} & set(kinds)
-    env = envelope.extract(spec, pipe.env) if need_env else None
+    env = None
+    if need_env:
+        try:
+            env = envelope.extract(spec, pipe.env)
+        except envelope.IncompleteBand:
+            env = envelope.extract(tfr.spectrogram(record, pipe.stft), pipe.env)
 
     if "envelope" in kinds or "pca-env" in kinds:
         vec = envelope.to_feature(env).values
@@ -158,13 +159,9 @@ def _record_features(record, pipe: PipelineConfig, kinds: tuple[str, ...]) -> di
         if "pca-env" in kinds:
             out["pca-env"] = vec
     if "empirical" in kinds:
-        curve = segmentation.smooth(segmentation.pbc(spec, pipe.pbc), pipe.pbc.smooth_len)
-        intervals = segmentation.detect(curve, spec.time_s, pipe.pbc)
-        if intervals:
-            iv = _pick_interval(curve, spec.time_s, intervals)
-        else:
-            iv = segmentation.MotionInterval(0.0, record.duration_s)
-        out["empirical"] = features.empirical(iv, env).as_vector()
+        if burst is None:
+            burst = segmentation.MotionInterval(0.0, record.duration_s)
+        out["empirical"] = features.empirical(burst, env).as_vector()
     if "trajectory" in kinds:
         traj = features.trajectory(
             raw_spec,
@@ -183,12 +180,19 @@ def _record_features(record, pipe: PipelineConfig, kinds: tuple[str, ...]) -> di
     return out
 
 
-_POOL_STATE: dict = {}
+# Set in each forked pool worker by its initializer; the parent never
+# holds it, and nothing is pickled to fill it.
+_worker_args: tuple = ()
+
+
+def _pool_init(records, pipe, kinds):
+    global _worker_args
+    _worker_args = (records, pipe, kinds)
 
 
 def _pool_worker(i: int):
-    st = _POOL_STATE
-    return i, _record_features(st["records"][i], st["pipe"], st["kinds"])
+    records, pipe, kinds = _worker_args
+    return i, _record_features(records[i], pipe, kinds)
 
 
 def extract_features(
@@ -212,14 +216,12 @@ def extract_features(
 
     per_record: list[dict] = [None] * len(records)
     if jobs > 1 and len(records) > 1:
-        _POOL_STATE.update(records=records, pipe=pipe, kinds=kinds)
-        try:
-            ctx = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as ex:
-                for i, res in ex.map(_pool_worker, range(len(records)), chunksize=8):
-                    per_record[i] = res
-        finally:
-            _POOL_STATE.clear()
+        ctx = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(
+            max_workers=jobs, mp_context=ctx, initializer=_pool_init, initargs=(records, pipe, kinds)
+        ) as ex:
+            for i, res in ex.map(_pool_worker, range(len(records)), chunksize=8):
+                per_record[i] = res
     else:
         for i, rec in enumerate(records):
             per_record[i] = _record_features(rec, pipe, kinds)

@@ -36,6 +36,11 @@ class PbcConfig:
         if self.merge_gap_s < 0:
             raise ValueError("merge gap must be non-negative")
 
+    @property
+    def band_hz(self) -> float:
+        """The |f| radius of the spectrogram rows the burst curve reads."""
+        return max(-self.neg_lo_hz, self.pos_hi_hz)
+
 
 @dataclass(frozen=True)
 class MotionInterval:
@@ -126,14 +131,32 @@ def detect(
     return [MotionInterval(a, b) for a, b in merged]
 
 
+def bursts(
+    spec: Spectrogram, cfg: PbcConfig = PbcConfig()
+) -> tuple[list[MotionInterval], MotionInterval | None]:
+    """Burst curve -> smoothing -> detection on one spectrogram.
+
+    Returns the detected intervals and the one holding the most smoothed
+    burst energy (the first of equals), or None when there is none.
+    """
+    curve = smooth(pbc(spec, cfg), cfg.smooth_len)
+    intervals = detect(curve, spec.time_s, cfg)
+    best, best_sum = None, -1.0
+    for iv in intervals:
+        sel = (spec.time_s >= iv.start_s) & (spec.time_s < iv.end_s)
+        s = float(curve[sel].sum())
+        if s > best_sum:
+            best, best_sum = iv, s
+    return intervals, best
+
+
 def segment_record(
     record: IQRecord,
     stft_cfg: StftConfig = StftConfig(),
     pbc_cfg: PbcConfig = PbcConfig(),
 ) -> list[MotionInterval]:
     """Spectrogram -> burst curve -> smoothing -> detection in one call."""
-    spec = spectrogram(record, stft_cfg)
-    return detect(smooth(pbc(spec, pbc_cfg), pbc_cfg.smooth_len), spec.time_s, pbc_cfg)
+    return bursts(spectrogram(record, stft_cfg, pbc_cfg.band_hz), pbc_cfg)[0]
 
 
 def window(record: IQRecord, interval: MotionInterval, duration_s: float = 5.0) -> IQRecord:

@@ -2,8 +2,8 @@
 
 Short-time Fourier transform with a rectangular window, zero-padded
 FFT (``scipy.fft.fft``, in single precision for complex64 samples), and
-power output.  The frequency axis is fftshifted so row 0 is -fs/2 and
-rows ascend to +fs/2; column n covers samples
+power output, optionally limited to a band |f| <= B.  Rows ascend in
+frequency from -fs/2 (or -B) toward +fs/2 (or +B); column n covers samples
 [n*hop, n*hop + window_len) and is stamped with the window-center time.
 """
 
@@ -15,6 +15,9 @@ import numpy as np
 import scipy.fft
 
 from .simulate import IQRecord
+
+# Columns per FFT call: a (64, 4096) complex64 block is 2 MB.
+_BLOCK_COLS = 64
 
 
 @dataclass(frozen=True)
@@ -35,11 +38,18 @@ class StftConfig:
 
 @dataclass
 class Spectrogram:
-    """Power matrix with frequency rows (ascending) and time columns."""
+    """Power matrix with frequency rows (ascending) and time columns.
+
+    ``outside`` describes the rows a band-limited STFT left out: the
+    largest power and the sum of squared powers over their cells, or
+    (inf, inf) where they were not measured.  None means no row is
+    missing, or that the matrix is to be read as it is.
+    """
 
     power: np.ndarray
     time_s: np.ndarray
     freq_hz: np.ndarray
+    outside: tuple[float, float] | None = None
 
     @property
     def n_cols(self) -> int:
@@ -57,24 +67,67 @@ class Spectrogram:
         return Spectrogram(self.power[keep], self.time_s, self.freq_hz[keep])
 
 
-def stft_power(x: np.ndarray, sample_rate_hz: float, cfg: StftConfig = StftConfig()) -> Spectrogram:
+def stft_power(
+    x: np.ndarray,
+    sample_rate_hz: float,
+    cfg: StftConfig = StftConfig(),
+    band_hz: float | None = None,
+    measure_outside: bool = False,
+) -> Spectrogram:
+    """Power spectrogram of ``x``, every row or only a band of them.
+
+    With ``band_hz`` the rows are the fewest that cover
+    [-band_hz, +band_hz]: every row with |f| <= band_hz, plus the next
+    row out on a side where band_hz falls between two bins.
+    ``measure_outside`` also fills ``Spectrogram.outside`` for the rows
+    left out.  Columns are transformed ``_BLOCK_COLS`` at a time and
+    only the kept bins are stored, so no full-size spectrum exists at
+    once.  The power matrix is the transpose of a (columns x rows)
+    array, and each value has the same bits with or without a band.
+    """
     x = np.asarray(x)
     if x.ndim != 1:
         raise ValueError("expected a 1-D sample array")
     if len(x) < cfg.window_len:
         raise ValueError("segment shorter than the analysis window")
-    n_cols = (len(x) - cfg.window_len) // cfg.hop + 1
-    idx = cfg.hop * np.arange(n_cols)[:, None] + np.arange(cfg.window_len)[None, :]
-    frames = x[idx]
-    spec = scipy.fft.fft(frames, n=cfg.fft_size, axis=1)
-    power = np.fft.fftshift(np.abs(spec) ** 2, axes=1).T
     freq = np.fft.fftshift(np.fft.fftfreq(cfg.fft_size, d=1.0 / sample_rate_hz))
+    bins = np.fft.fftshift(np.arange(cfg.fft_size))  # FFT bin of each ascending row
+    if band_hz is not None:
+        if band_hz < 0:
+            raise ValueError("band must be non-negative")
+        lo = max(int(np.searchsorted(freq, -band_hz, side="right")) - 1, 0)
+        hi = min(int(np.searchsorted(freq, band_hz, side="left")), len(freq) - 1)
+        freq, bins = freq[lo : hi + 1], bins[lo : hi + 1]
+    # The kept rows always hold 0 Hz, so the bins left out are one run.
+    rest = slice(bins[-1] + 1, bins[0])
+    frames = np.lib.stride_tricks.sliding_window_view(x, cfg.window_len)[:: cfg.hop]
+    n_cols = len(frames)
+    power = None
+    out_peak = out_sq = 0.0
+    for c0 in range(0, n_cols, _BLOCK_COLS):
+        spec = scipy.fft.fft(frames[c0 : c0 + _BLOCK_COLS], n=cfg.fft_size, axis=1)
+        mag = np.abs(spec[:, bins])
+        if power is None:
+            power = np.empty((n_cols, len(bins)), dtype=mag.dtype)
+        np.square(mag, out=power[c0 : c0 + len(mag)])
+        if measure_outside and rest.start < rest.stop:
+            p = np.square(np.abs(spec[:, rest])).ravel()
+            out_peak = max(out_peak, float(p.max()))
+            out_sq += float(np.dot(p, p))
+    outside = None
+    if rest.start < rest.stop:
+        outside = (out_peak, out_sq) if measure_outside else (np.inf, np.inf)
     time = (cfg.hop * np.arange(n_cols) + cfg.window_len / 2.0) / sample_rate_hz
-    return Spectrogram(power, time, freq)
+    return Spectrogram(power.T, time, freq, outside)
 
 
-def spectrogram(record: IQRecord, cfg: StftConfig = StftConfig()) -> Spectrogram:
-    return stft_power(record.samples, record.sample_rate_hz, cfg)
+def spectrogram(
+    record: IQRecord,
+    cfg: StftConfig = StftConfig(),
+    band_hz: float | None = None,
+    measure_outside: bool = False,
+) -> Spectrogram:
+    return stft_power(record.samples, record.sample_rate_hz, cfg, band_hz, measure_outside)
 
 
 @dataclass

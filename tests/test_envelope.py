@@ -6,9 +6,10 @@ import pytest
 from mdgest.envelope import (
     EnvelopeConfig,
     EnvelopePair,
+    IncompleteBand,
+    _total_bound,
     envelope_image,
     extract,
-    half_energies,
     to_feature,
 )
 from mdgest.simulate import GestureLabel
@@ -139,22 +140,54 @@ class TestScaleInvariance:
         np.testing.assert_allclose(b.lower_hz, a.lower_hz, rtol=1e-9, atol=1e-9)
 
 
-class TestHalfEnergies:
-    def test_matches_loops_and_skips_dc(self):
-        rng = np.random.default_rng(5)
-        power = rng.random((len(FREQ), 8))
-        spec = toy_spec(power)
-        up, low = half_energies(spec)
-        for j in range(8):
-            eu = sum(power[i, j] ** 2 for i in range(len(FREQ)) if FREQ[i] > 0)
-            el = sum(power[i, j] ** 2 for i in range(len(FREQ)) if FREQ[i] < 0)
-            assert up[j] == pytest.approx(eu, rel=1e-12)
-            assert low[j] == pytest.approx(el, rel=1e-12)
-        spiked = power.copy()
-        spiked[np.flatnonzero(FREQ == 0.0)[0], :] += 50.0
-        u2, l2 = half_energies(toy_spec(spiked))
-        np.testing.assert_allclose(u2, up)
-        np.testing.assert_allclose(l2, low)
+class TestBandLimitedInput:
+    """A band-limited spectrogram gives the full one's envelope or says it cannot."""
+
+    # At 500 Hz the band cuts into the signal, so fewer envelopes certify.
+    @pytest.mark.parametrize("band_hz, min_certified", [(640.0, 5), (500.0, 1)])
+    def test_equal_to_full_spectrogram_or_incomplete(self, six_records, band_hz, min_certified):
+        certified = 0
+        for rec in six_records:
+            full = extract(spectrogram(rec, StftConfig()))
+            band = spectrogram(rec, StftConfig(), band_hz, measure_outside=True)
+            try:
+                env = extract(band)
+            except IncompleteBand:
+                continue
+            certified += 1
+            np.testing.assert_array_equal(env.upper_hz, full.upper_hz)
+            np.testing.assert_array_equal(env.lower_hz, full.lower_hz)
+            np.testing.assert_array_equal(env.time_s, full.time_s)
+        assert certified >= min_certified
+
+    def test_unmeasured_rows_cannot_be_certified(self, six_records):
+        band = spectrogram(six_records[0], StftConfig(), 640.0)
+        assert band.outside == (np.inf, np.inf)
+        with pytest.raises(IncompleteBand):
+            extract(band)
+
+    def test_peak_outside_the_band_is_incomplete(self):
+        spec = ridge_spec(np.full(12, 260.0))
+        spec.outside = (2.0 * spec.power.max(), 0.0)
+        with pytest.raises(IncompleteBand, match="peak"):
+            extract(spec)
+
+    def test_quiet_outside_rows_change_nothing(self):
+        spec = ridge_spec(np.full(12, 260.0))
+        want = extract(spec)
+        spec.outside = (0.0, 0.0)
+        got = extract(spec)
+        np.testing.assert_array_equal(got.upper_hz, want.upper_hz)
+
+    @pytest.mark.prop
+    def test_total_bound_holds_for_float32_accumulation(self):
+        rng = np.random.default_rng(11)
+        for trial in range(400):
+            total = np.float32(rng.choice([0.22, 0.49999, 0.9999999, 1.0, 3e-5]))
+            ulp = float(np.spacing(total))
+            terms = (ulp * rng.lognormal(-1.0, 2.0, size=rng.integers(1, 400))).astype(np.float32)
+            acc = np.cumsum(np.concatenate(([total], terms)), dtype=np.float32)[-1]
+            assert acc <= _total_bound(float(total), float(terms.astype(float).sum()))
 
 
 class TestPairAndFeature:

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from mdgest import features, subspace, tfr
+from mdgest import envelope, features, segmentation, subspace, tfr
 from mdgest.harness import (
+    FEATURE_KINDS,
     ConfusionMatrix,
     EvalProtocol,
     FeatureTable,
@@ -102,6 +103,92 @@ class TestPipelineConfig:
     def test_dimension_validated(self):
         with pytest.raises(ValueError):
             PipelineConfig(pca_dim=0)
+
+
+def strongest_interval(curve, time_s, intervals):
+    best, best_sum = None, -1.0
+    for iv in intervals:
+        s = float(curve[(time_s >= iv.start_s) & (time_s < iv.end_s)].sum())
+        if s > best_sum:
+            best, best_sum = iv, s
+    return best
+
+
+def full_spectrogram_features(record, pipe, kinds):
+    """Oracle: every kind from full 4096-row spectrograms, the burst curve
+    recomputed wherever it is read."""
+    spec = tfr.spectrogram(record, pipe.stft)
+    raw_spec = spec
+    if pipe.recenter and set(kinds) - {"trajectory"}:
+        curve = segmentation.smooth(segmentation.pbc(spec, pipe.pbc), pipe.pbc.smooth_len)
+        intervals = segmentation.detect(curve, spec.time_s, pipe.pbc)
+        if intervals:
+            iv = strongest_interval(curve, spec.time_s, intervals)
+            record = segmentation.window(record, iv, record.duration_s)
+            spec = tfr.spectrogram(record, pipe.stft)
+    env = envelope.extract(spec, pipe.env)
+    curve = segmentation.smooth(segmentation.pbc(spec, pipe.pbc), pipe.pbc.smooth_len)
+    intervals = segmentation.detect(curve, spec.time_s, pipe.pbc)
+    if intervals:
+        iv = strongest_interval(curve, spec.time_s, intervals)
+    else:
+        iv = segmentation.MotionInterval(0.0, record.duration_s)
+    cropped = spec.crop_band(pipe.image_band_hz)
+    vec = envelope.to_feature(env).values
+    return {
+        "envelope": vec,
+        "pca-env": vec,
+        "empirical": features.empirical(iv, env).as_vector(),
+        "trajectory": features.trajectory(
+            raw_spec, pipe.trajectory_points, band_hz=(pipe.pbc.pos_lo_hz, pipe.pbc.pos_hi_hz)
+        ),
+        "pca-spec": tfr.vectorize(
+            tfr.to_gray(cropped, pipe.image_size, pipe.image_dyn_db)
+        ).astype(np.float32),
+        "pca-envimg": tfr.vectorize(
+            envelope.envelope_image(cropped, env, pipe.image_size)
+        ).astype(np.float32),
+    }
+
+
+class TestBandSpectrogramFeatures:
+    """Band-limited spectrograms give every kind the bits of full ones."""
+
+    def assert_tables_match_oracle(self, records, pipe):
+        kinds = FEATURE_KINDS
+        tables = extract_features(records, pipe, kinds=kinds)
+        oracle = [full_spectrogram_features(r, pipe, kinds) for r in records]
+        for k in kinds:
+            want = [o[k].points.ravel() if k == "trajectory" else o[k] for o in oracle]
+            assert tables[k].vectors.dtype == np.asarray(want[0]).dtype, k
+            np.testing.assert_array_equal(tables[k].vectors, np.stack(want), err_msg=k)
+
+    @pytest.mark.parametrize("recenter", [True, False])
+    def test_every_kind_equals_full_spectrogram_oracle(self, twelve_records, recenter):
+        self.assert_tables_match_oracle(twelve_records, PipelineConfig(recenter=recenter))
+
+    @pytest.mark.parametrize("image_band_hz", [300.0, 100.0])
+    def test_narrow_image_band_still_covers_burst_band(self, twelve_records, image_band_hz):
+        pipe = PipelineConfig(image_band_hz=image_band_hz)
+        self.assert_tables_match_oracle(twelve_records[::3], pipe)
+
+    def test_uncertified_envelopes_fall_back_to_full_spectrogram(
+        self, twelve_records, monkeypatch
+    ):
+        calls = []
+        real = tfr.spectrogram
+
+        def counted(record, cfg=tfr.StftConfig(), band_hz=None, measure_outside=False):
+            calls.append(band_hz)
+            return real(record, cfg, band_hz, measure_outside)
+
+        # So loose a bound on the rows left out certifies no envelope.
+        monkeypatch.setattr(envelope, "_OUTSIDE_ERROR", 1e9)
+        monkeypatch.setattr(tfr, "spectrogram", counted)
+        records = twelve_records[:4]
+        extract_features(records, PipelineConfig(), kinds=("envelope",))
+        assert calls.count(None) == len(records)
+        self.assert_tables_match_oracle(records, PipelineConfig())
 
 
 class TestExtractFeatures:

@@ -6,6 +6,7 @@ import pytest
 from mdgest.segmentation import (
     MotionInterval,
     PbcConfig,
+    bursts,
     detect,
     pbc,
     segment_record,
@@ -98,6 +99,29 @@ class TestPbc:
         freq = np.array([-500.0, 0.0, 500.0])
         power = np.full((3, 2), 3.0)
         np.testing.assert_allclose(pbc(toy_spectrogram(power, freq)), np.full(2, 18.0))
+
+
+class TestBursts:
+    def test_intervals_are_detect_and_strongest_has_most_energy(self):
+        freq = np.array([-500.0, -20.0, 0.0, 20.0, 500.0])
+        power = np.zeros((5, 200))
+        power[3, 20:40] = 1.0  # weaker burst
+        power[3, 120:150] = 2.0  # stronger burst
+        spec = toy_spectrogram(power, freq)
+        intervals, best = bursts(spec)
+        curve = smooth(pbc(spec), PbcConfig().smooth_len)
+        assert intervals == detect(curve, spec.time_s)
+        assert len(intervals) == 2
+        assert best == intervals[1]
+
+    def test_no_burst_gives_none(self):
+        freq = np.array([-500.0, -20.0, 0.0, 20.0, 500.0])
+        intervals, best = bursts(toy_spectrogram(np.ones((5, 30)), freq))
+        assert intervals == [] and best is None
+
+    def test_band_covers_both_sides(self):
+        assert PbcConfig().band_hz == 500.0
+        assert PbcConfig(neg_lo_hz=-620.0).band_hz == 620.0
 
 
 class TestDetect:

@@ -233,11 +233,29 @@ class TestDataset:
         c = generate_dataset(2, base_seed=43)
         assert not np.array_equal(a.records[0].samples, c.records[0].samples)
 
+    def test_generated_records_are_rows_of_one_block(self):
+        ds = generate_dataset(2, base_seed=5)
+        base = ds.records[0].samples.base
+        assert base is not None and base.shape == (len(ds), ds.records[0].samples.size)
+        for rec in ds.records:
+            assert rec.samples.base is base
+            alone = simulate_record(rec.label, rec.config, record_id=rec.record_id)
+            assert rec.samples.dtype == alone.samples.dtype
+            np.testing.assert_array_equal(rec.samples, alone.samples)
+            assert rec.active_s == alone.active_s
+
+    def test_grid_cells_of_different_lengths_rejected(self):
+        grid = [SimConfig(), SimConfig(duration_s=4.0)]
+        with pytest.raises(ValueError, match="sample count"):
+            generate_dataset(1, grid)
+
     def test_save_load_roundtrip(self, tmp_path):
         ds = generate_dataset(1)
         ds.save(tmp_path / "ds")
         back = Dataset.load(tmp_path / "ds")
         assert len(back) == len(ds)
+        base = back.records[0].samples.base
+        assert all(r.samples.base is base for r in back.records)
         for ra, rb in zip(ds.records, back.records):
             np.testing.assert_array_equal(ra.samples, rb.samples)
             assert ra.label == rb.label

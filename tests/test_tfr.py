@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from mdgest.simulate import IQRecord
 from mdgest.tfr import (
+    _BLOCK_COLS,
     GrayImage,
     Spectrogram,
     StftConfig,
@@ -97,6 +99,68 @@ class TestToneLocalization:
         inst = -400.0 + rate * spec.time_s
         peak = spec.freq_hz[spec.power.argmax(axis=0)]
         assert np.all(np.abs(peak - inst) <= 2 * spec.freq_res_hz)
+
+
+def one_shot_power(x, fs, cfg):
+    """Every column in one FFT call, fftshifted: the unblocked STFT."""
+    n_cols = (len(x) - cfg.window_len) // cfg.hop + 1
+    idx = cfg.hop * np.arange(n_cols)[:, None] + np.arange(cfg.window_len)[None, :]
+    spec = scipy.fft.fft(x[idx], n=cfg.fft_size, axis=1)
+    power = np.fft.fftshift(np.abs(spec) ** 2, axes=1).T
+    return power, np.fft.fftshift(np.fft.fftfreq(cfg.fft_size, d=1.0 / fs))
+
+
+class TestBlockedBandStft:
+    """Columns transformed in blocks, rows kept in a band, bits unchanged."""
+
+    def signal(self, n, dtype=np.complex64, seed=3):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        return (rng.standard_normal(n) + 1j * rng.standard_normal(n)).astype(dtype)
+
+    @pytest.mark.parametrize(
+        "n, dtype",
+        [
+            (2048 + 128 * (3 * _BLOCK_COLS + 5), np.complex64),  # not a multiple of the block
+            (2048, np.complex64),  # exactly one window: one column
+            (2048 + 128 * (_BLOCK_COLS + 1), np.complex128),
+        ],
+        ids=["ragged", "one-window", "complex128"],
+    )
+    @pytest.mark.parametrize("band_hz", [None, 640.0, 500.0, 12.0])
+    def test_equals_band_rows_of_one_shot_stft(self, n, dtype, band_hz):
+        cfg = StftConfig()
+        x = self.signal(n, dtype)
+        full, freq = one_shot_power(x, FS, cfg)
+        spec = stft_power(x, FS, cfg, band_hz)
+        keep = np.ones(len(freq), bool) if band_hz is None else np.isin(freq, spec.freq_hz)
+        assert spec.power.dtype == full.dtype
+        assert spec.power.shape == (keep.sum(), full.shape[1])
+        np.testing.assert_array_equal(spec.power, full[keep])
+        np.testing.assert_array_equal(spec.freq_hz, freq[keep])
+        # the same (rows x cols) orientation: a transposed (cols x rows) array
+        assert spec.power.strides[0] < spec.power.strides[1] or spec.power.shape[1] == 1
+
+    @pytest.mark.parametrize("band_hz", [640.0, 500.0, 3.0, 0.0])
+    def test_band_is_the_fewest_rows_covering_it(self, band_hz):
+        spec = stft_power(self.signal(4096), FS, StftConfig(), band_hz)
+        df = FS / StftConfig().fft_size
+        assert spec.freq_hz[0] <= -band_hz and spec.freq_hz[-1] >= band_hz
+        assert spec.freq_hz[0] > -band_hz - df and spec.freq_hz[-1] < band_hz + df
+        assert np.all(np.diff(spec.freq_hz) > 0)
+        with pytest.raises(ValueError, match="non-negative"):
+            stft_power(self.signal(4096), FS, StftConfig(), -1.0)
+
+    def test_outside_measures_the_rows_left_out(self):
+        x = self.signal(2048 + 128 * 70)
+        full, freq = one_shot_power(x, FS, StftConfig())
+        spec = stft_power(x, FS, StftConfig(), 640.0, measure_outside=True)
+        rest = full[~np.isin(freq, spec.freq_hz)].astype(float)
+        peak, sq = spec.outside
+        assert peak == rest.max()
+        assert sq == pytest.approx((rest**2).sum(), rel=1e-5)
+        assert stft_power(x, FS, StftConfig(), 640.0).outside == (np.inf, np.inf)
+        assert stft_power(x, FS, StftConfig()).outside is None
+        assert stft_power(x, FS, StftConfig(), FS).outside is None
 
 
 class TestCropBand:
