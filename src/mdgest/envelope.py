@@ -15,7 +15,6 @@ matrix, which makes extraction invariant to overall signal scale.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,35 +83,27 @@ class IncompleteBand(ValueError):
     """The rows a band-limited spectrogram left out could change its envelope."""
 
 
-# The measured energy of the rows a band-limited STFT leaves out is within
-# this factor of the sum the complete matrix would give them (float32
-# rounding of the measurement and of the normalization).
+# The squared-power energy a band-limited STFT measures for a row it left
+# out is within this factor of the float32 sum ``_effective_band`` would
+# form from the complete matrix (normalization, squaring and summation
+# round to a few parts in 1e5).
 _OUTSIDE_ERROR = 1.02
 
 
-def _total_bound(total: float, outside: float) -> float:
-    """Upper bound on a float32 running total ``total`` after adding
-    nonnegative terms that sum to ``outside``.
-
-    A term under half a unit in the last place leaves the total as it is;
-    a larger one raises it by at most twice its size while the total
-    stays in its binade, and by at most three times otherwise.
-    """
-    high = total + 3.0 * outside
-    same_binade = math.frexp(high)[1] == math.frexp(total)[1]
-    return total + (2.0 if same_binade else 3.0) * outside
-
-
 def _effective_band(
-    sq: np.ndarray, absf: np.ndarray, in_band: np.ndarray, frac: float, outside_sq: float = 0.0
+    sq: np.ndarray,
+    absf: np.ndarray,
+    in_band: np.ndarray,
+    frac: float,
+    outside: np.ndarray,
 ) -> float:
     """Smallest symmetric |f| radius containing ``frac`` of the in-band
     squared-power energy.
 
-    ``outside_sq`` is the normalized squared-power energy of rows missing
-    from ``sq``, all farther out than every row present.  The radius is
-    the one the complete matrix gives; where those rows could move it,
-    ``IncompleteBand`` is raised instead.
+    ``outside`` holds the normalized squared-power energy of each row
+    missing from ``sq``, all farther out than every row present.  The
+    radius is the one the complete matrix gives; where those rows could
+    move it, ``IncompleteBand`` is raised instead.
     """
     rows = np.flatnonzero(in_band)
     energy = sq[rows].sum(axis=1)
@@ -120,13 +111,21 @@ def _effective_band(
     cum = np.cumsum(energy[order])
     total = cum[-1]
     if total <= 0.0:
-        if outside_sq > 0.0:
+        if np.any(outside > 0.0):
             raise IncompleteBand("all in-band energy lies outside the band")
         return 0.0
     k = int(np.searchsorted(cum, frac * total))
-    high = _total_bound(float(total), _OUTSIDE_ERROR * outside_sq)
-    if outside_sq > 0.0 and cum[k] < frac * high * (1 + 1e-6):
-        raise IncompleteBand("the rows outside the band could move the effective band")
+    if outside.size:
+        # The complete matrix adds the missing rows to the float32 running
+        # total.  A row under half a unit in its last place leaves it as it
+        # is; a larger one raises it by at most twice its energy (itself,
+        # plus at most half a unit of the result).  Below the threshold
+        # that gives (1e-6 covers rounding the product), row k stays the
+        # first to reach it.
+        upper = _OUTSIDE_ERROR * outside
+        added = upper[upper >= float(np.spacing(total)) / 2].sum()
+        if cum[k] < frac * (float(total) + 2.0 * added) * (1 + 1e-6):
+            raise IncompleteBand("the rows outside the band could move the effective band")
     return float(absf[rows][order][min(k, len(rows) - 1)])
 
 
@@ -171,7 +170,7 @@ def extract(spec: Spectrogram, cfg: EnvelopeConfig = EnvelopeConfig()) -> Envelo
     the rows it left out could change it.
     """
     peak = spec.power.max() if spec.power.size else 0.0
-    out_peak, out_sq = spec.outside or (0.0, 0.0)
+    out_peak, out_sq = spec.outside or (0.0, np.zeros(0))
     if out_peak > peak:
         raise IncompleteBand("the peak power may lie outside the band")
     n_pts = cfg.points_per_side

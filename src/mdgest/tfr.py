@@ -2,8 +2,9 @@
 
 Short-time Fourier transform with a rectangular window, zero-padded
 FFT (``scipy.fft.fft``, in single precision for complex64 samples), and
-power output, optionally limited to a band |f| <= B.  Rows ascend in
-frequency from -fs/2 (or -B) toward +fs/2 (or +B); column n covers samples
+power output, optionally limited to the rows that cover a band
+[-B, +B].  Rows ascend in frequency from -fs/2 (or about -B) toward
++fs/2 (or about +B); column n covers samples
 [n*hop, n*hop + window_len) and is stamped with the window-center time.
 """
 
@@ -40,16 +41,17 @@ class StftConfig:
 class Spectrogram:
     """Power matrix with frequency rows (ascending) and time columns.
 
-    ``outside`` describes the rows a band-limited STFT left out: the
-    largest power and the sum of squared powers over their cells, or
-    (inf, inf) where they were not measured.  None means no row is
-    missing, or that the matrix is to be read as it is.
+    ``outside`` describes the rows a band-limited STFT left out: their
+    largest power, and per row (in FFT bin order) the sum of its squared
+    powers over all columns; every value is inf where they were not
+    measured.  None
+    means no row is missing, or that the matrix is to be read as it is.
     """
 
     power: np.ndarray
     time_s: np.ndarray
     freq_hz: np.ndarray
-    outside: tuple[float, float] | None = None
+    outside: tuple[float, np.ndarray] | None = None
 
     @property
     def n_cols(self) -> int:
@@ -98,25 +100,31 @@ def stft_power(
         lo = max(int(np.searchsorted(freq, -band_hz, side="right")) - 1, 0)
         hi = min(int(np.searchsorted(freq, band_hz, side="left")), len(freq) - 1)
         freq, bins = freq[lo : hi + 1], bins[lo : hi + 1]
-    # The kept rows always hold 0 Hz, so the bins left out are one run.
-    rest = slice(bins[-1] + 1, bins[0])
+    # The kept rows always hold 0 Hz, so the bins left out are one run:
+    # from the last kept positive bin to the first kept negative one.
+    rest = slice(bins[-1] + 1, bins[0] if bins[0] > bins[-1] else cfg.fft_size)
     frames = np.lib.stride_tricks.sliding_window_view(x, cfg.window_len)[:: cfg.hop]
     n_cols = len(frames)
     power = None
-    out_peak = out_sq = 0.0
+    n_rest = rest.stop - rest.start
+    out_peak, out_sq = 0.0, np.zeros(n_rest)
     for c0 in range(0, n_cols, _BLOCK_COLS):
         spec = scipy.fft.fft(frames[c0 : c0 + _BLOCK_COLS], n=cfg.fft_size, axis=1)
         mag = np.abs(spec[:, bins])
         if power is None:
             power = np.empty((n_cols, len(bins)), dtype=mag.dtype)
         np.square(mag, out=power[c0 : c0 + len(mag)])
-        if measure_outside and rest.start < rest.stop:
-            p = np.square(np.abs(spec[:, rest])).ravel()
+        if measure_outside and n_rest:
+            p = np.abs(spec[:, rest])
+            np.square(p, out=p)
             out_peak = max(out_peak, float(p.max()))
-            out_sq += float(np.dot(p, p))
+            # A square that underflows loses less than the smallest normal
+            # value, so the sums stay upper bounds.
+            np.square(p, out=p)
+            out_sq += p.sum(axis=0, dtype=np.float64) + len(p) * np.finfo(p.dtype).tiny
     outside = None
-    if rest.start < rest.stop:
-        outside = (out_peak, out_sq) if measure_outside else (np.inf, np.inf)
+    if n_rest:
+        outside = (out_peak, out_sq) if measure_outside else (np.inf, np.full(n_rest, np.inf))
     time = (cfg.hop * np.arange(n_cols) + cfg.window_len / 2.0) / sample_rate_hz
     return Spectrogram(power.T, time, freq, outside)
 

@@ -7,7 +7,6 @@ from mdgest.envelope import (
     EnvelopeConfig,
     EnvelopePair,
     IncompleteBand,
-    _total_bound,
     envelope_image,
     extract,
     to_feature,
@@ -162,32 +161,42 @@ class TestBandLimitedInput:
 
     def test_unmeasured_rows_cannot_be_certified(self, six_records):
         band = spectrogram(six_records[0], StftConfig(), 640.0)
-        assert band.outside == (np.inf, np.inf)
         with pytest.raises(IncompleteBand):
             extract(band)
 
     def test_peak_outside_the_band_is_incomplete(self):
         spec = ridge_spec(np.full(12, 260.0))
-        spec.outside = (2.0 * spec.power.max(), 0.0)
+        spec.outside = (2.0 * spec.power.max(), np.zeros(3))
         with pytest.raises(IncompleteBand, match="peak"):
             extract(spec)
 
     def test_quiet_outside_rows_change_nothing(self):
         spec = ridge_spec(np.full(12, 260.0))
         want = extract(spec)
-        spec.outside = (0.0, 0.0)
+        spec.outside = (0.0, np.zeros(3))
         got = extract(spec)
         np.testing.assert_array_equal(got.upper_hz, want.upper_hz)
 
+    def test_loud_outside_row_is_incomplete(self):
+        spec = ridge_spec(np.full(12, 260.0))
+        total = float((spec.power[np.abs(FREQ) >= 20] ** 2).sum())
+        spec.outside = (0.0, np.array([0.0, 0.05 * total, 0.0]))
+        with pytest.raises(IncompleteBand, match="move"):
+            extract(spec)
+
     @pytest.mark.prop
-    def test_total_bound_holds_for_float32_accumulation(self):
+    def test_float32_total_grows_by_at_most_twice_its_significant_terms(self):
+        """The bound extract relies on, at and across binade edges: terms
+        under half a unit in the last place add nothing, the others at
+        most twice their size."""
         rng = np.random.default_rng(11)
         for trial in range(400):
-            total = np.float32(rng.choice([0.22, 0.49999, 0.9999999, 1.0, 3e-5]))
-            ulp = float(np.spacing(total))
-            terms = (ulp * rng.lognormal(-1.0, 2.0, size=rng.integers(1, 400))).astype(np.float32)
+            total = np.float32(rng.choice([0.22, 0.49999997, 0.9999999, 1.0, 3e-5]))
+            half_ulp = float(np.spacing(total)) / 2
+            terms = (2 * half_ulp * rng.lognormal(-1.0, 2.0, size=rng.integers(1, 400)))
+            terms = terms.astype(np.float32).astype(float)
             acc = np.cumsum(np.concatenate(([total], terms)), dtype=np.float32)[-1]
-            assert acc <= _total_bound(float(total), float(terms.astype(float).sum()))
+            assert acc - float(total) <= 2.0 * terms[terms >= half_ulp].sum()
 
 
 class TestPairAndFeature:

@@ -114,6 +114,14 @@ class TestBursts:
         assert len(intervals) == 2
         assert best == intervals[1]
 
+    def test_first_of_equal_bursts_is_strongest(self):
+        freq = np.array([-500.0, -20.0, 0.0, 20.0, 500.0])
+        power = np.zeros((5, 200))
+        power[3, 20:40] = 1.0
+        power[3, 120:140] = 1.0
+        intervals, best = bursts(toy_spectrogram(power, freq))
+        assert len(intervals) == 2 and best == intervals[0]
+
     def test_no_burst_gives_none(self):
         freq = np.array([-500.0, -20.0, 0.0, 20.0, 500.0])
         intervals, best = bursts(toy_spectrogram(np.ones((5, 30)), freq))
