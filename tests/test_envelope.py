@@ -7,6 +7,7 @@ from mdgest.envelope import (
     EnvelopeConfig,
     EnvelopePair,
     IncompleteBand,
+    _effective_band,
     envelope_image,
     extract,
     to_feature,
@@ -183,6 +184,34 @@ class TestBandLimitedInput:
         spec.outside = (0.0, np.array([0.0, 0.05 * total, 0.0]))
         with pytest.raises(IncompleteBand, match="move"):
             extract(spec)
+
+    def test_effective_band_certifies_or_raises(self):
+        """Rows left out of the band, given as energies, either leave the
+        complete matrix's edge where the band put it or raise."""
+        energy = np.array([0.5, 0.25, 0.125, 0.0625], np.float32)
+        absf = np.array([30.0, 40.0, 50.0, 60.0])
+        ulp = float(np.spacing(energy.sum()))
+        gap = 400 * ulp  # the threshold sits this far below the third row's running total
+        frac = (0.875 - gap) / 0.9375
+
+        def band(outside):
+            return _effective_band(energy[:, None], absf, np.ones(4, bool), frac, outside)
+
+        def complete(outside):  # every row in the float32 running total
+            cum = np.cumsum(np.concatenate([energy, outside.astype(np.float32)]))
+            return absf[int(np.searchsorted(cum, frac * cum[-1]))]
+
+        assert band(np.zeros(0)) == 50.0
+        quiet = np.full(10_000, 0.4 * ulp)  # each under half a unit: they add nothing
+        assert band(quiet) == complete(quiet) == 50.0
+        with pytest.raises(IncompleteBand):  # could add up to twice its size
+            band(np.array([0.75 * gap / frac]))
+        with pytest.raises(IncompleteBand):  # each over half a unit
+            band(np.full(300, ulp))
+        silent = np.zeros((4, 1), np.float32)  # no in-band energy left in the band
+        assert _effective_band(silent, absf, np.ones(4, bool), frac, np.zeros(2)) == 0.0
+        with pytest.raises(IncompleteBand):
+            _effective_band(silent, absf, np.ones(4, bool), frac, np.array([0.0, 1e-30]))
 
     @pytest.mark.prop
     def test_float32_total_grows_by_at_most_twice_its_significant_terms(self):
