@@ -44,8 +44,8 @@ class Spectrogram:
     ``outside`` describes the rows a band-limited STFT left out: their
     largest power, and per row (in FFT bin order) the sum of its squared
     powers over all columns; every value is inf where they were not
-    measured.  None
-    means no row is missing, or that the matrix is to be read as it is.
+    measured.  None means no row is missing, or that the matrix is to be
+    read as it is.
     """
 
     power: np.ndarray
