@@ -14,7 +14,7 @@ from .simulate import (
 )
 from .tfr import GrayImage, Spectrogram, StftConfig, spectrogram, stft_power, to_gray, vectorize
 from .segmentation import MotionInterval, PbcConfig, detect, pbc, segment_record, smooth, window
-from .envelope import EnvelopeConfig, EnvelopePair, FeatureVector, extract
+from .envelope import EnvelopeConfig, EnvelopePair, extract
 from .features import EmpiricalFeatures, Trajectory, central_trajectory, empirical, trajectory
 from .subspace import (
     ClassSubspace,
@@ -26,7 +26,7 @@ from .subspace import (
     project,
     similarity_table,
 )
-from .classify import DistanceKind, NnModel, SvmModel, dist, fit_nn, fit_svm, nn_predict, svm_predict
+from .classify import DistanceKind, SvmModel, dist, fit_svm, svm_predict
 from .harness import ConfusionMatrix, EvalProtocol, PipelineConfig, evaluate, report, split
 
 __version__ = "0.1.0"

@@ -1,11 +1,13 @@
-"""Distances, nearest-neighbor classification, and a linear SVM.
+"""Distances and a linear SVM.
 
 Envelope vectors can be compared four ways: L1, L2, a closed-form 1-D
 earth mover's distance on the vectors re-read as distributions, and the
 modified Hausdorff distance on the vectors re-read as planar point
-sets.  The SVM is six one-vs-rest linear hinge-loss machines trained
-with seeded epoch-wise subgradient descent; independent training sets
-(one per protocol trial) train together in one lockstep loop.
+sets.  ``pairwise_distances`` is the one kernel for all four; a
+nearest-neighbor prediction is the label of each row's ``argmin``.
+The SVM is six one-vs-rest linear hinge-loss machines trained with
+seeded epoch-wise subgradient descent; independent training sets (one
+per protocol trial) train together in one lockstep loop.
 """
 
 from __future__ import annotations
@@ -48,26 +50,6 @@ def _as_mass(v: np.ndarray) -> np.ndarray:
     return v / s
 
 
-def emd_1d(a: np.ndarray, b: np.ndarray) -> float:
-    """Earth mover's distance between two vectors on the unit-spaced
-    line: the L1 distance of the normalized cumulative sums."""
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError("EMD needs two equal-length vectors")
-    return float(np.abs(np.cumsum(_as_mass(a) - _as_mass(b))).sum())
-
-
-def mhd(a: np.ndarray, b: np.ndarray) -> float:
-    """Modified Hausdorff distance between two point sets (rows)."""
-    a = np.atleast_2d(np.asarray(a, float))
-    b = np.atleast_2d(np.asarray(b, float))
-    if a.shape[1] != b.shape[1]:
-        raise ValueError("point sets must share a dimension")
-    d = cdist(a, b)
-    return float(max(d.min(axis=1).mean(), d.min(axis=0).mean()))
-
-
 def envelope_to_points(vec: np.ndarray, f_scale_hz: float = 500.0) -> np.ndarray:
     """Re-read a stacked envelope vector as 2N points (n/N, e(n)/scale)."""
     vec = np.asarray(vec, float)
@@ -83,26 +65,15 @@ def envelope_to_points(vec: np.ndarray, f_scale_hz: float = 500.0) -> np.ndarray
 
 
 def dist(a, b, kind: DistanceKind | str) -> float:
+    """One distance: ``pairwise_distances`` of two one-element collections."""
     kind = DistanceKind.parse(kind)
     if kind is DistanceKind.MHD:
-        return mhd(a, b)
+        return float(pairwise_distances([a], [b], kind)[0, 0])
     a = np.asarray(a, float)
     b = np.asarray(b, float)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("vector distances need two equal-length vectors")
-    if kind is DistanceKind.L1:
-        return float(np.abs(a - b).sum())
-    if kind is DistanceKind.L2:
-        return float(np.sqrt(((a - b) ** 2).sum()))
-    return emd_1d(a, b)
-
-
-def _uniform_sets(xs) -> bool:
-    """True when every element is a 2-D point set of one common shape."""
-    if not len(xs):
-        return False
-    first = np.shape(xs[0])
-    return len(first) == 2 and all(np.shape(p) == first for p in xs)
+    return float(pairwise_distances(a[None], b[None], kind)[0, 0])
 
 
 def _mhd_matrix(a: np.ndarray, b: np.ndarray, chunk: int = 16) -> np.ndarray:
@@ -116,8 +87,8 @@ def _mhd_matrix(a: np.ndarray, b: np.ndarray, chunk: int = 16) -> np.ndarray:
     and ``out[j, i]`` are computed by the same arithmetic.  When both
     sides are the same stack (``a is b``) only the blocks on or above
     the diagonal are computed and the lower triangle is filled by
-    symmetry.  Matches ``mhd(a[i], b[j])`` to float32 resolution but
-    runs orders of magnitude faster than a pair loop.
+    symmetry.  Matches a float64 pair loop to float32 resolution but
+    runs orders of magnitude faster.
     """
     same = a is b
     na, p, dim = a.shape
@@ -150,23 +121,16 @@ def _mhd_matrix(a: np.ndarray, b: np.ndarray, chunk: int = 16) -> np.ndarray:
 def pairwise_distances(xa, xb, kind: DistanceKind | str) -> np.ndarray:
     """Distance matrix between two collections.
 
-    Vector kinds take 2-D arrays (rows are samples); MHD takes lists of
-    point-set arrays.
+    Vector kinds take 2-D arrays (rows are samples); MHD takes
+    collections of point-set arrays, each side of one common shape.
     """
     kind = DistanceKind.parse(kind)
     if kind is DistanceKind.MHD:
-        same = xa is xb
-        if _uniform_sets(xa) and _uniform_sets(xb) and xa[0].shape[1] == xb[0].shape[1]:
-            sa = np.stack(xa)
-            return _mhd_matrix(sa, sa if same else np.stack(xb))
-        out = np.empty((len(xa), len(xb)))
-        for i, pa in enumerate(xa):
-            j0 = i if same else 0
-            for j in range(j0, len(xb)):
-                out[i, j] = mhd(pa, xb[j])
-                if same:
-                    out[j, i] = out[i, j]
-        return out
+        sa = np.stack(xa)
+        sb = sa if xa is xb else np.stack(xb)
+        if sa.ndim != 3 or sb.ndim != 3 or sa.shape[2] != sb.shape[2]:
+            raise ValueError("point sets must be (points, dim) arrays sharing a dimension")
+        return _mhd_matrix(sa, sb)
     xa = np.asarray(xa, float)
     xb = np.asarray(xb, float)
     if kind is DistanceKind.L1:
@@ -176,45 +140,6 @@ def pairwise_distances(xa, xb, kind: DistanceKind | str) -> np.ndarray:
     ca = np.cumsum(np.stack([_as_mass(r) for r in xa]), axis=1)
     cb = np.cumsum(np.stack([_as_mass(r) for r in xb]), axis=1)
     return cdist(ca, cb, metric="cityblock")
-
-
-@dataclass
-class NnModel:
-    """1-nearest-neighbor over stored training features."""
-
-    features: object  # (M, D) array, or list of point sets for MHD
-    labels: np.ndarray
-    kind: DistanceKind = DistanceKind.L1
-    k: int = 1
-
-
-def fit_nn(features, labels, kind: DistanceKind | str = DistanceKind.L1) -> NnModel:
-    kind = DistanceKind.parse(kind)
-    labels = np.asarray(labels, int)
-    n = len(features) if isinstance(features, list) else np.asarray(features).shape[0]
-    if n != len(labels):
-        raise ValueError("feature/label count mismatch")
-    if n == 0:
-        raise ValueError("empty training set")
-    if kind is not DistanceKind.MHD:
-        features = np.asarray(features, float)
-    return NnModel(features=features, labels=labels, kind=kind)
-
-
-def nn_classify(model: NnModel, x) -> int:
-    """Label of the nearest stored sample; ties go to the lowest index."""
-    if model.kind is DistanceKind.MHD:
-        d = np.array([mhd(x, p) for p in model.features])
-    else:
-        d = pairwise_distances(np.asarray(x, float)[None, :], model.features, model.kind)[0]
-    return int(model.labels[int(np.argmin(d))])
-
-
-def nn_predict(model: NnModel, xs) -> np.ndarray:
-    if model.kind is DistanceKind.MHD:
-        return np.array([nn_classify(model, p) for p in xs])
-    d = pairwise_distances(np.asarray(xs, float), model.features, model.kind)
-    return model.labels[d.argmin(axis=1)]
 
 
 @dataclass
@@ -339,14 +264,3 @@ def svm_predict(model: SvmModel, x: np.ndarray) -> np.ndarray:
     if model.majority is not None:
         return np.full(len(xs), model.majority)
     return model.classes[model.decision(xs).argmax(axis=1)]
-
-
-def shuffle_features(x: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """Apply one shared coordinate permutation to every sample row."""
-    x = np.asarray(x)
-    perm = np.asarray(perm, int)
-    if x.ndim != 2:
-        raise ValueError("expected an (M, D) feature matrix")
-    if sorted(perm.tolist()) != list(range(x.shape[1])):
-        raise ValueError("not a permutation of the feature coordinates")
-    return x[:, perm]

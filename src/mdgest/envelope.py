@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulate import GestureLabel
 from .tfr import GrayImage, Spectrogram
 
 
@@ -70,13 +69,6 @@ class EnvelopePair:
             raise ValueError("envelope traces and time grid must share a length")
         if np.any(self.upper_hz < 0) or np.any(self.lower_hz > 0):
             raise ValueError("upper trace must be >= 0 and lower trace <= 0")
-
-
-@dataclass
-class FeatureVector:
-    values: np.ndarray
-    label: GestureLabel | None = None
-    kind: str = "envelope"
 
 
 class IncompleteBand(ValueError):
@@ -230,13 +222,9 @@ def extract(spec: Spectrogram, cfg: EnvelopeConfig = EnvelopeConfig()) -> Envelo
     return EnvelopePair(up, np.minimum(low, 0.0), grid, bin_hz)
 
 
-def to_feature(env: EnvelopePair, label: GestureLabel | None = None) -> FeatureVector:
+def to_feature(env: EnvelopePair) -> np.ndarray:
     """Stack upper then lower trace into one vector of length 2 * N."""
-    return FeatureVector(
-        values=np.concatenate([env.upper_hz, env.lower_hz]),
-        label=label,
-        kind="envelope",
-    )
+    return np.concatenate([env.upper_hz, env.lower_hz])
 
 
 def envelope_image(

@@ -153,7 +153,7 @@ def _record_features(record, pipe: PipelineConfig, kinds: tuple[str, ...]) -> di
             env = envelope.extract(tfr.spectrogram(record, pipe.stft), pipe.env)
 
     if "envelope" in kinds or "pca-env" in kinds:
-        vec = envelope.to_feature(env).values
+        vec = envelope.to_feature(env)
         if "envelope" in kinds:
             out["envelope"] = vec
         if "pca-env" in kinds:
@@ -301,11 +301,9 @@ def _make_predictor(table: FeatureTable, pipe: PipelineConfig, protocol: EvalPro
                         members, pipe.trajectory_points, seed=seed + int(c)
                     ).normalized_tf()
                 )
-            out = np.empty(len(te), int)
-            for j, i in enumerate(te):
-                d = [classify.mhd(table.pointsets[i], cp) for cp in centrals]
-                out[j] = classes[int(np.argmin(d))]
-            return out
+            tests = [table.pointsets[i] for i in te]
+            d = classify.pairwise_distances(tests, centrals, classify.DistanceKind.MHD)
+            return classes[d.argmin(axis=1)]
 
         return predict
 

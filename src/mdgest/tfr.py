@@ -26,15 +26,12 @@ class StftConfig:
     window_len: int = 2048
     fft_size: int = 4096
     hop: int = 128
-    window: str = "rect"
 
     def __post_init__(self):
         if self.window_len < 1 or self.hop < 1:
             raise ValueError("window length and hop must be positive")
         if self.fft_size < self.window_len:
             raise ValueError("FFT size must be at least the window length")
-        if self.window != "rect":
-            raise ValueError(f"unsupported window type: {self.window!r}")
 
 
 @dataclass

@@ -8,20 +8,22 @@ from scipy.optimize import linprog
 from mdgest.classify import (
     DistanceKind,
     dist,
-    emd_1d,
     envelope_to_points,
-    fit_nn,
     SvmModel,
     fit_svm,
     fit_svm_many,
-    mhd,
-    nn_classify,
-    nn_predict,
     pairwise_distances,
-    shuffle_features,
     svm_predict,
 )
-from mdgest.harness import EvalProtocol, PipelineConfig, _trial_seed, extract_features, split
+from mdgest.harness import (
+    EvalProtocol,
+    FeatureTable,
+    PipelineConfig,
+    _make_predictor,
+    _trial_seed,
+    extract_features,
+    split,
+)
 from mdgest.simulate import STREAM_SVM, GestureLabel, SimConfig, simulate_record
 
 VECTOR_KINDS = (DistanceKind.L1, DistanceKind.L2, DistanceKind.EMD)
@@ -175,10 +177,10 @@ class TestMetricAxioms:
         # Triangle inequality deliberately unasserted: the mean-of-minima
         # construction does not satisfy it.
         a, b = pair
-        assert mhd(a, a) == pytest.approx(0.0, abs=1e-12)
-        d = mhd(a, b)
+        assert dist(a, a, "mhd") == pytest.approx(0.0, abs=1e-12)
+        d = dist(a, b, "mhd")
         assert d >= 0.0
-        assert d == pytest.approx(mhd(b, a), abs=1e-12)
+        assert d == pytest.approx(dist(b, a, "mhd"), abs=1e-12)
 
 
 class TestDistValues:
@@ -198,20 +200,20 @@ class TestDistValues:
         for _ in range(20):
             a = rng.random(8)
             b = rng.random(8)
-            assert emd_1d(a, b) == pytest.approx(emd_lp_oracle(a, b), abs=1e-9)
+            assert dist(a, b, "emd") == pytest.approx(emd_lp_oracle(a, b), abs=1e-9)
 
     def test_emd_zero_vector_means_uniform(self):
         # no mass at all stands in for the uniform distribution
         assert dist(np.zeros(4), np.ones(4), "emd") == pytest.approx(0.0)
-        shifted = emd_1d(np.zeros(4), np.array([1.0, 0.0, 0.0, 0.0]))
+        shifted = dist(np.zeros(4), np.array([1.0, 0.0, 0.0, 0.0]), "emd")
         expect = emd_lp_oracle(np.full(4, 0.25), np.array([1.0, 0.0, 0.0, 0.0]))
         assert shifted == pytest.approx(expect, abs=1e-9)
 
     def test_emd_uses_ground_distance_not_overlap(self):
         # same total overlap, different transport cost: mass one bin away
         # versus two bins away must differ, unlike plain L1.
-        near = emd_1d(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
-        far = emd_1d(np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]))
+        near = dist(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), "emd")
+        far = dist(np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]), "emd")
         assert near == pytest.approx(1.0 / 3.0 * 1.0 + 0.0, abs=1e-12) or near < far
         assert far == pytest.approx(2 * near)
 
@@ -219,9 +221,11 @@ class TestDistValues:
         with pytest.raises(ValueError):
             dist(np.ones(3), np.ones(4), "l1")
         with pytest.raises(ValueError):
-            emd_1d(np.ones(3), np.ones(4))
+            dist(np.ones(3), np.ones(4), "emd")
         with pytest.raises(ValueError):
-            mhd(np.ones((2, 2)), np.ones((2, 3)))
+            dist(np.ones((2, 2)), np.ones((2, 3)), "mhd")
+        with pytest.raises(ValueError):
+            pairwise_distances([np.ones((2, 2))] * 3, [np.ones((4, 3))], "mhd")
 
     def test_kind_parsing(self):
         assert DistanceKind.parse("L1") is DistanceKind.L1
@@ -237,7 +241,7 @@ class TestMhdForms:
         for _ in range(15):
             a = rng.normal(size=(rng.integers(2, 9), 2))
             b = rng.normal(size=(rng.integers(2, 9), 2))
-            assert mhd(a, b) == pytest.approx(mhd_oracle(a, b), abs=1e-12)
+            assert dist(a, b, "mhd") == pytest.approx(mhd_oracle(a, b), abs=1e-5)
 
     def test_blocked_matrix_matches_pair_loop(self):
         rng = np.random.default_rng(12)
@@ -245,7 +249,7 @@ class TestMhdForms:
         fast = pairwise_distances(sets, sets, "mhd")
         for i in range(20):
             for j in range(20):
-                assert fast[i, j] == pytest.approx(mhd(sets[i], sets[j]), abs=1e-5)
+                assert fast[i, j] == pytest.approx(mhd_oracle(sets[i], sets[j]), abs=1e-5)
         np.testing.assert_allclose(fast, fast.T, atol=1e-12)
 
     def test_mirrored_matrix_equals_full_matrix(self):
@@ -261,15 +265,20 @@ class TestMhdForms:
         assert rect.shape == (23, 19)
         for i in range(23):
             for j in range(19):
-                assert rect[i, j] == pytest.approx(mhd(xa[i], xb[j]), abs=1e-5)
+                assert rect[i, j] == pytest.approx(mhd_oracle(xa[i], xb[j]), abs=1e-5)
 
-    def test_ragged_sets_fall_back_to_pair_loop(self):
+    def test_ragged_side_rejected(self):
+        # Each side stacks into one array: set sizes may differ between
+        # the two sides, not within one.
         rng = np.random.default_rng(13)
-        sets = [rng.normal(size=(int(m), 2)) for m in rng.integers(2, 10, size=8)]
-        got = pairwise_distances(sets, sets, "mhd")
-        for i in range(8):
-            for j in range(8):
-                assert got[i, j] == pytest.approx(mhd_oracle(sets[i], sets[j]), abs=1e-12)
+        small = [rng.normal(size=(3, 2)) for _ in range(4)]
+        large = [rng.normal(size=(7, 2)) for _ in range(5)]
+        got = pairwise_distances(small, large, "mhd")
+        for i in range(4):
+            for j in range(5):
+                assert got[i, j] == pytest.approx(mhd_oracle(small[i], large[j]), abs=1e-5)
+        with pytest.raises(ValueError):
+            pairwise_distances(small + large, large, "mhd")
 
 
 class TestEnvelopePoints:
@@ -305,11 +314,26 @@ class TestPairwise:
 
 
 class TestNearestNeighbor:
+    """The harness's 1-NN (labels of each row's distance argmin) on an
+    envelope feature table, against an exhaustive loop."""
+
     def make_set(self, rng, n_train=140, n_test=60, dim=30):
         x_tr = rng.normal(size=(n_train, dim))
         y_tr = rng.integers(0, 6, size=n_train)
         x_te = rng.normal(size=(n_test, dim))
         return x_tr, y_tr, x_te
+
+    def predict(self, x_tr, y_tr, x_te, kind):
+        """Envelope nn-<kind> predictions of the harness for one split."""
+        n, m = len(x_tr), len(x_te)
+        table = FeatureTable(
+            kind="envelope",
+            labels=np.concatenate([np.asarray(y_tr), np.full(m, -1)]),
+            vectors=np.vstack([x_tr, x_te]),
+        )
+        pipe = PipelineConfig(features="envelope", classifier=f"nn-{kind.value}")
+        predict = _make_predictor(table, pipe, EvalProtocol())
+        return predict(0, np.arange(n), np.arange(n, n + m))
 
     def oracle_predict(self, x_tr, y_tr, x_te, kind):
         preds = []
@@ -318,8 +342,12 @@ class TestNearestNeighbor:
             for i, tr in enumerate(x_tr):
                 if kind is DistanceKind.MHD:
                     d = mhd_oracle(envelope_to_points(t), envelope_to_points(tr))
+                elif kind is DistanceKind.EMD:
+                    d = emd_lp_oracle(t, tr)
+                elif kind is DistanceKind.L1:
+                    d = np.abs(t - tr).sum()
                 else:
-                    d = dist(t, tr, kind)
+                    d = np.sqrt(((t - tr) ** 2).sum())
                 if d < best_d:
                     best_d, best_i = d, i
             preds.append(y_tr[best_i])
@@ -329,27 +357,28 @@ class TestNearestNeighbor:
     def test_predictions_match_exhaustive_oracle(self, kind):
         if kind is DistanceKind.MHD:
             # the nested-loop oracle is slow, so keep the point-set case small
-            x_tr, y_tr, x_te = self.make_set(
-                np.random.default_rng(15), n_train=40, n_test=15, dim=12
-            )
-            model = fit_nn([envelope_to_points(v) for v in x_tr], y_tr, kind)
-            got = nn_predict(model, [envelope_to_points(v) for v in x_te])
+            size = dict(n_train=40, n_test=15, dim=12)
+        elif kind is DistanceKind.EMD:
+            # so is the transport LP
+            size = dict(n_train=40, n_test=15, dim=10)
         else:
-            x_tr, y_tr, x_te = self.make_set(np.random.default_rng(15))
-            model = fit_nn(x_tr, y_tr, kind)
-            got = nn_predict(model, x_te)
+            size = {}
+        x_tr, y_tr, x_te = self.make_set(np.random.default_rng(15), **size)
+        got = self.predict(x_tr, y_tr, x_te, kind)
         np.testing.assert_array_equal(got, self.oracle_predict(x_tr, y_tr, x_te, kind))
 
     def test_training_sample_maps_to_its_label(self):
-        x = np.array([[0.0, 0.0], [5.0, 5.0], [9.0, 0.0]])
-        model = fit_nn(x, [4, 1, 2], "l1")
-        assert nn_classify(model, x[1]) == 1
+        x = np.array([[0.0, 1.0], [5.0, 5.0], [9.0, 0.0]])
+        for kind in DistanceKind:
+            assert self.predict(x, [4, 1, 2], x[1:2], kind).tolist() == [1], kind
 
     def test_tie_goes_to_lowest_index(self):
-        model = fit_nn(np.array([[1.0, 0.0], [0.0, 1.0]]), [2, 4], "l1")
-        assert nn_classify(model, np.array([0.0, 0.0])) == 2
-        dup = fit_nn(np.array([[3.0], [3.0]]), [5, 1], "l2")
-        assert nn_classify(dup, np.array([3.0])) == 5
+        # Equidistant under every metric: mirror images, then duplicates.
+        mirror = np.array([[1.0, 0.0], [0.0, 1.0]])
+        dup = np.array([[3.0, 1.0], [3.0, 1.0]])
+        for kind in DistanceKind:
+            assert self.predict(mirror, [2, 4], np.zeros((1, 2)), kind).tolist() == [2], kind
+            assert self.predict(dup, [5, 1], np.array([[0.5, 2.0]]), kind).tolist() == [5], kind
 
     @pytest.mark.prop
     def test_invariant_under_monotone_distance_transform(self):
@@ -360,11 +389,9 @@ class TestNearestNeighbor:
         warped = y_tr[(mat**2 + 1.0).argmin(axis=1)]
         np.testing.assert_array_equal(base, warped)
 
-    def test_empty_or_mismatched_training_rejected(self):
-        with pytest.raises(ValueError):
-            fit_nn(np.zeros((0, 3)), [])
-        with pytest.raises(ValueError):
-            fit_nn(np.zeros((2, 3)), [1])
+
+def nn_labels(x_tr, y_tr, x_te, kind):
+    return np.asarray(y_tr)[pairwise_distances(x_te, x_tr, kind).argmin(axis=1)]
 
 
 @pytest.mark.prop
@@ -376,40 +403,23 @@ class TestPermutationInvariance:
         y_tr = rng.integers(0, 6, size=60)
         x_te = rng.normal(size=(30, 24))
         perm = rng.permutation(24)
-        base = nn_predict(fit_nn(x_tr, y_tr, kind), x_te)
-        mixed = nn_predict(
-            fit_nn(shuffle_features(x_tr, perm), y_tr, kind),
-            shuffle_features(x_te, perm),
-        )
+        base = nn_labels(x_tr, y_tr, x_te, kind)
+        mixed = nn_labels(x_tr[:, perm], y_tr, x_te[:, perm], kind)
         np.testing.assert_array_equal(base, mixed)
 
 
 class TestShuffleFeatures:
-    def test_identity_and_mutation_safety(self):
-        x = np.arange(12.0).reshape(3, 4)
-        out = shuffle_features(x, np.arange(4))
-        np.testing.assert_array_equal(out, x)
-
     def test_emd_is_order_sensitive(self):
         # three-bin counterexample: moving the spike next door halves the
         # transport cost, so a coordinate swap changes the distance.
         a = np.array([[1.0, 0.0, 0.0]])
         b = np.array([[0.0, 0.0, 1.0]])
         perm = np.array([1, 0, 2])
-        before = emd_1d(a[0], b[0])
-        after = emd_1d(shuffle_features(a, perm)[0], shuffle_features(b, perm)[0])
+        before = dist(a[0], b[0], "emd")
+        after = dist(a[0, perm], b[0, perm], "emd")
         assert before == pytest.approx(2.0)
         assert after == pytest.approx(1.0)
         assert before != after
-
-    @pytest.mark.parametrize("perm", [[0, 1], [0, 1, 1], [0, 2, 3]])
-    def test_invalid_permutations_rejected(self, perm):
-        with pytest.raises(ValueError):
-            shuffle_features(np.ones((2, 3)), np.array(perm))
-
-    def test_non_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            shuffle_features(np.ones(3), np.array([0, 1, 2]))
 
 
 class TestSvm:
@@ -622,7 +632,7 @@ class TestOnGestureEnvelopes:
         nn_correct = svm_correct = total = 0
         for _ in range(5):
             tr, te = self.split(y, rng)
-            nn_hat = nn_predict(fit_nn(x[tr], y[tr], "l1"), x[te])
+            nn_hat = nn_labels(x[tr], y[tr], x[te], "l1")
             svm_hat = svm_predict(fit_svm(x[tr], y[tr]), x[te])
             nn_correct += int((nn_hat == y[te]).sum())
             svm_correct += int((svm_hat == y[te]).sum())

@@ -21,10 +21,11 @@ from mdgest.harness import (
     report,
     split,
 )
-from mdgest.classify import emd_1d, svm_predict
+from mdgest.classify import pairwise_distances, svm_predict
 from mdgest.simulate import STREAM_KMEANS, STREAM_SPLIT, STREAM_SVM
 from mdgest.subspace import project
-from test_classify import fit_svm_oracle
+from conftest import make_records
+from test_classify import emd_lp_oracle, fit_svm_oracle, mhd_oracle
 from test_subspace import image_like, svd_oracle
 
 
@@ -134,7 +135,7 @@ def full_spectrogram_features(record, pipe, kinds):
     else:
         iv = segmentation.MotionInterval(0.0, record.duration_s)
     cropped = spec.crop_band(pipe.image_band_hz)
-    vec = envelope.to_feature(env).values
+    vec = envelope.to_feature(env)
     return {
         "envelope": vec,
         "pca-env": vec,
@@ -369,6 +370,40 @@ class TestEndToEndSmall:
         assert cm.config_hash == config_hash(PipelineConfig(), proto)
 
 
+class TestEvaluateTrajectory:
+    """Trajectory nn-mhd matches each trial's test sets against the class
+    central trajectories in one float32 MHD matrix."""
+
+    proto = EvalProtocol(seed=11)
+
+    def test_matches_float64_oracle_on_every_trial(self):
+        records = make_records(5, base=5000)
+        pipe = PipelineConfig(features="trajectory", classifier="nn-mhd")
+        table = extract_features(records, pipe)["trajectory"]
+        predict = _make_predictor(table, pipe, self.proto)
+        # As in the benchmark's checks: a float32 kernel may break a tie
+        # this close either way.
+        tie_tol = 16 * float(np.finfo(np.float32).eps)
+        for trial in range(self.proto.trials):
+            tr, te = split(table.labels, self.proto, trial)
+            seed = _trial_seed(self.proto, STREAM_KMEANS, trial)
+            classes = np.unique(table.labels[tr])
+            centrals = [
+                features.central_trajectory(
+                    [table.trajectories[i] for i in tr if table.labels[i] == c],
+                    pipe.trajectory_points,
+                    seed=seed + int(c),
+                ).normalized_tf()
+                for c in classes
+            ]
+            got = predict(trial, tr, te)
+            assert len(got) == len(te)
+            for i, pred in zip(te, got):
+                d = np.array([mhd_oracle(table.pointsets[i], cp) for cp in centrals])
+                if pred != classes[d.argmin()]:
+                    assert d[classes == pred][0] - d.min() <= tie_tol, (trial, i)
+
+
 class TestEvaluateSvm:
     # With one training record a class, the default lambda keeps the
     # all-zero start as every trial's best iterate; at 1e-2 the trials'
@@ -423,7 +458,12 @@ class TestEvaluatePca:
         if classifier == "nn-emd":
             top = ztr[np.abs(ztr).argmax(axis=0), np.arange(d)]
             ztr, zte = ztr * np.sign(top), zte * np.sign(top)
-            nearest = [int(np.argmin([emd_1d(z, t) for t in ztr])) for z in zte]
+            dists = pairwise_distances(zte, ztr, "emd")
+            if trial == 0:
+                # The kernel against the transport LP, on one test row.
+                want = [emd_lp_oracle(zte[0], t) for t in ztr]
+                np.testing.assert_allclose(dists[0], want, rtol=0, atol=1e-9)
+            nearest = dists.argmin(axis=1)
         else:
             nearest = [int(np.argmin(np.abs(ztr - z).sum(axis=1))) for z in zte]
         return tr, te, table.labels[tr][nearest]
