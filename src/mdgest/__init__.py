@@ -26,7 +26,7 @@ from .subspace import (
     project,
     similarity_table,
 )
-from .classify import DistanceKind, SvmModel, dist, fit_svm, svm_predict
+from .classify import DistanceKind, SvmModel, dist, svm_predict
 from .harness import ConfusionMatrix, EvalProtocol, PipelineConfig, evaluate, report, split
 
 __version__ = "0.1.0"

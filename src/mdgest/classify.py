@@ -157,17 +157,6 @@ class SvmModel:
         return z @ self.weights.T + self.bias
 
 
-def fit_svm(
-    x: np.ndarray,
-    y: np.ndarray,
-    lam: float = 1e-4,
-    epochs: int = 200,
-    seed: int = 0,
-) -> SvmModel:
-    """Train one-vs-rest linear hinge machines on one set (see ``fit_svm_many``)."""
-    return fit_svm_many([x], [y], [seed], lam=lam, epochs=epochs)[0]
-
-
 def _svm_objective(z, targets, w, b, lam) -> float:
     margins = 1.0 - targets * (z @ w.T + b).T
     hinge = np.maximum(margins, 0.0).mean(axis=1).sum()

@@ -6,14 +6,13 @@ Exit codes: 0 success, 2 configuration error, 3 data error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import classify, envelope, features, harness, segmentation, simulate, subspace, tfr
+from . import envelope, harness, segmentation, simulate, subspace, tfr
 
 
 class ConfigError(Exception):
@@ -40,13 +39,21 @@ def _load_record(path: Path) -> simulate.IQRecord:
 
 def _load_dataset(path: str) -> simulate.Dataset:
     try:
-        return simulate.Dataset.load(path)
+        ds = simulate.Dataset.load(path)
     except FileNotFoundError as e:
         raise DataError(str(e)) from e
     except (KeyError, json.JSONDecodeError) as e:
         raise DataError(f"corrupt dataset manifest: {e}") from e
     except ValueError as e:
         raise DataError(f"corrupt dataset: {e}") from e
+    window = tfr.StftConfig().window_len
+    for rec in ds.records:
+        if len(rec.samples) < window:
+            raise DataError(
+                f"record {rec.record_id} has {len(rec.samples)} samples, "
+                f"fewer than the {window}-sample analysis window"
+            )
+    return ds
 
 
 def _apply_config_file(args):
@@ -140,8 +147,10 @@ def _cmd_envelope(args) -> int:
     Path(args.out).write_text(json.dumps(payload, indent=2))
     print(f"wrote {args.out}")
     if args.overlay:
-        img = tfr.to_gray(spec.crop_band(640.0), dyn_range_db=25.0)
-        marks = envelope.envelope_image(spec.crop_band(640.0), env, img.size)
+        pipe = harness.PipelineConfig()
+        cropped = spec.crop_band(pipe.image_band_hz)
+        img = tfr.to_gray(cropped, pipe.image_size, pipe.image_dyn_db)
+        marks = envelope.envelope_image(cropped, env, img.size)
         img.pixels[marks.pixels > 0] = 1.0
         tfr.write_pgm(img, args.overlay)
         print(f"wrote {args.overlay}")
@@ -168,6 +177,8 @@ def _cmd_features(args) -> int:
 
 
 def _cmd_similarity(args) -> int:
+    if args.dim < 1:
+        raise ConfigError("--d must be at least 1")
     ds = _load_dataset(args.indir)
     pipe = harness.PipelineConfig(features="pca-spec")
     table = harness.extract_features(ds.records, pipe, kinds=("pca-spec",), jobs=args.jobs)[
@@ -181,27 +192,6 @@ def _cmd_similarity(args) -> int:
     except ValueError as e:
         raise DataError(str(e)) from e
     sim.to_csv(args.out)
-    print(f"wrote {args.out}")
-    return 0
-
-
-def _cmd_train(args) -> int:
-    ds = _load_dataset(args.indir)
-    pipe = _pipeline_from_args(args)
-    table = harness.extract_features(ds.records, pipe, jobs=args.jobs)[pipe.features]
-    if pipe.classifier == "svm":
-        model = classify.fit_svm(
-            table.vectors, table.labels, lam=pipe.svm_lambda, epochs=pipe.svm_epochs,
-            seed=args.seed,
-        )
-        np.savez(
-            args.out,
-            weights=model.weights, bias=model.bias, mean=model.mean,
-            scale=model.scale, classes=model.classes,
-            majority=-1 if model.majority is None else model.majority,
-        )
-    else:
-        np.savez(args.out, features=np.asarray(table.vectors), labels=table.labels)
     print(f"wrote {args.out}")
     return 0
 
@@ -282,21 +272,17 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--out", required=True)
     q.set_defaults(fn=_cmd_similarity)
 
-    for name, fn in (("train", _cmd_train), ("eval", _cmd_eval)):
-        q = sub.add_parser(name, help=f"{name} a feature/classifier pipeline")
-        q.add_argument("--in", dest="indir", required=True)
-        q.add_argument("--features", default="envelope")
-        q.add_argument("--classifier", default="nn-l1")
-        q.add_argument("--no-recenter", action="store_true")
-        q.add_argument("--pca-dim", type=int, default=30)
-        if name == "train":
-            q.add_argument("--out", required=True)
-        else:
-            q.add_argument("--trials", type=int, default=20)
-            q.add_argument("--train-fraction", type=float, default=0.70)
-            q.add_argument("--out-json", default=None)
-            q.add_argument("--out-csv", default=None)
-        q.set_defaults(fn=fn)
+    q = sub.add_parser("eval", help="evaluate a feature/classifier pipeline")
+    q.add_argument("--in", dest="indir", required=True)
+    q.add_argument("--features", default="envelope")
+    q.add_argument("--classifier", default="nn-l1")
+    q.add_argument("--no-recenter", action="store_true")
+    q.add_argument("--pca-dim", type=int, default=30)
+    q.add_argument("--trials", type=int, default=20)
+    q.add_argument("--train-fraction", type=float, default=0.70)
+    q.add_argument("--out-json", default=None)
+    q.add_argument("--out-csv", default=None)
+    q.set_defaults(fn=_cmd_eval)
 
     q = sub.add_parser("report", help="re-render a JSON report as CSV")
     q.add_argument("--in", dest="infile", required=True)

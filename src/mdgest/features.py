@@ -73,10 +73,6 @@ class Trajectory:
         if self.points.ndim != 2 or self.points.shape[1] != 3:
             raise ValueError("trajectory needs rows of (time, freq, intensity)")
 
-    @property
-    def tf(self) -> np.ndarray:
-        return self.points[:, :2]
-
     def normalized_tf(self) -> np.ndarray:
         """Points scaled to the unit square: t / 5 s, f / 500 Hz."""
         out = self.points[:, :2].copy()

@@ -327,26 +327,13 @@ def _make_predictor(table: FeatureTable, pipe: PipelineConfig, protocol: EvalPro
     metric = classify.DistanceKind.parse(clf[3:])
 
     if feats.startswith("pca-"):
-        # Both routes give the same coefficients.  With more dims than
-        # train rows (the 10 000-pixel images), one Gram matrix of the
-        # whole table serves every trial, which then works on its rows and
-        # columns alone; otherwise (the envelopes of a large corpus) a thin
-        # SVD of each trial's train rows costs less than the eigh of their
-        # Gram block.  Every trial has the same train count.
+        # One Gram matrix of the whole table serves every trial, which
+        # then works on its rows and columns alone.
         dims = table.vectors.shape[1]
-        if dims > len(split(table.labels, protocol, 0)[0]):
-            gram = subspace.gram(table.vectors)
-
-            def coefficients(tr, te):
-                return subspace.gram_pca(gram, dims, tr, te, pipe.pca_dim)
-
-        else:
-
-            def coefficients(tr, te):
-                return subspace.svd_pca(table.vectors[tr], table.vectors[te], pipe.pca_dim)
+        gram = subspace.gram(table.vectors)
 
         def predict(trial, tr, te):
-            ztr, zte = coefficients(tr, te)
+            ztr, zte = subspace.gram_pca(gram, dims, tr, te, pipe.pca_dim)
             d = classify.pairwise_distances(zte, ztr, metric)
             return table.labels[tr][d.argmin(axis=1)]
 

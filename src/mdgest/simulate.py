@@ -62,13 +62,6 @@ class GestureLabel(IntEnum):
     def letter(self) -> str:
         return "abcdef"[self.value]
 
-    @classmethod
-    def from_letter(cls, letter: str) -> "GestureLabel":
-        try:
-            return cls("abcdef".index(letter.lower()))
-        except ValueError:
-            raise ValueError(f"unknown gesture letter: {letter!r}") from None
-
 
 SPEED_MODES = ("normal", "slow")
 
@@ -373,12 +366,6 @@ class Dataset:
 
     def labels(self) -> np.ndarray:
         return np.array([int(r.label) for r in self.records])
-
-    def by_class(self) -> dict[GestureLabel, list[IQRecord]]:
-        out: dict[GestureLabel, list[IQRecord]] = {}
-        for r in self.records:
-            out.setdefault(r.label, []).append(r)
-        return out
 
     def manifest(self) -> dict:
         entries = []

@@ -8,15 +8,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .simulate import GestureLabel
-from .tfr import GrayImage, vectorize
 
 
 def _as_matrix(samples) -> np.ndarray:
     if isinstance(samples, np.ndarray) and samples.ndim == 2:
         x = np.asarray(samples, float)
     else:
-        rows = [vectorize(s) if isinstance(s, GrayImage) else np.asarray(s, float) for s in samples]
-        x = np.vstack(rows)
+        x = np.vstack([np.asarray(s, float) for s in samples])
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError("expected a non-empty (samples x dims) matrix")
     return x
@@ -57,10 +55,6 @@ class PcaModel:
     basis: np.ndarray  # (dims, d), orthonormal columns
     singular_values: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
 
 def fit_pca(samples, d: int) -> PcaModel:
     """Top-d principal directions of mean-centered samples (rows)."""
@@ -88,12 +82,12 @@ def gram_pca(g: np.ndarray, dims: int, train, test, d: int) -> tuple[np.ndarray,
 
     ``g`` is ``gram`` of every row of a (rows x ``dims``) table; the
     principal directions are those ``fit_pca`` finds for the train
-    rows, and the coefficients equal ``svd_pca``'s.  No ``dims``-long
-    row is touched: train coefficients are V sqrt(L) for the eigenpairs
-    (L, V) of the train-centred train block, test coefficients the
-    train-centred cross block times V / sqrt(L).  This is the method of
-    snapshots: an eigh of the m x m train block stands in for a thin SVD
-    of the (m x dims) train rows, which pays when m is well below dims.
+    rows, and the coefficients equal ``project``'s onto them.  No
+    ``dims``-long row is touched: train coefficients are V sqrt(L) for
+    the eigenpairs (L, V) of the train-centred train block, test
+    coefficients the train-centred cross block times V / sqrt(L).  This
+    is the method of snapshots: an eigh of the m x m train block stands
+    in for a thin SVD of the (m x dims) train rows.
     A component with an eigenvalue below ``_NULL_RTOL`` times the
     largest has no direction to project on and gets coefficient 0 on
     both sides.  Each component is oriented so that its
@@ -113,20 +107,6 @@ def gram_pca(g: np.ndarray, dims: int, train, test, d: int) -> tuple[np.ndarray,
     return _orient(v * np.where(keep, root, 0.0), (g_et @ v) * np.where(keep, 1.0 / root, 0.0))
 
 
-def svd_pca(train_rows, test_rows, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """PCA coefficients of train and test rows, from a thin SVD of the
-    centred train rows (``fit_pca`` and ``project``).
-
-    Same coefficients, null components and orientation as ``gram_pca``;
-    the cheaper route when the rows have no more dims than there are
-    train rows.
-    """
-    model = fit_pca(train_rows, d)
-    lam = model.singular_values[:d] ** 2
-    keep = lam > _NULL_RTOL * lam[0]
-    return _orient(project(model, train_rows) * keep, project(model, test_rows) * keep)
-
-
 def project(model: PcaModel, x: np.ndarray) -> np.ndarray:
     """Coefficients of one sample (1-D) or a stack of samples (2-D)."""
     x = np.asarray(x, float)
@@ -138,10 +118,6 @@ def project(model: PcaModel, x: np.ndarray) -> np.ndarray:
 @dataclass
 class ClassSubspace:
     basis: np.ndarray  # (dims, d), orthonormal columns
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
 
 
 def class_subspace(samples, d: int) -> ClassSubspace:

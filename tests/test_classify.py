@@ -10,7 +10,6 @@ from mdgest.classify import (
     dist,
     envelope_to_points,
     SvmModel,
-    fit_svm,
     fit_svm_many,
     pairwise_distances,
     svm_predict,
@@ -71,6 +70,11 @@ def mhd_oracle(a, b):
     fwd = np.mean([min(np.linalg.norm(p - q) for q in b) for p in a])
     bwd = np.mean([min(np.linalg.norm(p - q) for q in a) for p in b])
     return max(fwd, bwd)
+
+
+def fit_one(x, y, lam=1e-4, epochs=200, seed=0):
+    """``fit_svm_many`` on a single set."""
+    return fit_svm_many([x], [y], [seed], lam=lam, epochs=epochs)[0]
 
 
 def fit_svm_oracle(x, y, lam=1e-4, epochs=200, seed=0, quiet_epochs=None):
@@ -431,13 +435,13 @@ class TestSvm:
 
     def test_separable_blobs_fit_perfectly(self):
         x, y = self.blob_data(np.random.default_rng(18))
-        model = fit_svm(x, y)
+        model = fit_one(x, y)
         np.testing.assert_array_equal(svm_predict(model, x), y)
 
     def test_identical_features_fall_back_to_majority(self):
         x = np.ones((10, 3))
         y = np.array([0, 1, 1, 1, 2, 1, 0, 1, 2, 1])
-        model = fit_svm(x, y)
+        model = fit_one(x, y)
         assert model.majority == 1
         np.testing.assert_array_equal(svm_predict(model, x[:4]), np.ones(4))
 
@@ -445,7 +449,7 @@ class TestSvm:
         rng = np.random.default_rng(19)
         x = rng.normal(size=(60, 5))
         y = rng.integers(0, 3, size=60)
-        model = fit_svm(x, y, epochs=50)
+        model = fit_one(x, y, epochs=50)
         assert len(model.epoch_losses) == 50
         assert np.all(np.diff(model.epoch_losses) <= 1e-9)
 
@@ -453,8 +457,8 @@ class TestSvm:
         rng = np.random.default_rng(20)
         x = rng.normal(size=(30, 4))
         y = rng.integers(0, 3, size=30)
-        a = fit_svm(x, y, epochs=20, seed=5)
-        b = fit_svm(x, y, epochs=20, seed=5)
+        a = fit_one(x, y, epochs=20, seed=5)
+        b = fit_one(x, y, epochs=20, seed=5)
         np.testing.assert_array_equal(a.weights, b.weights)
         np.testing.assert_array_equal(a.bias, b.bias)
 
@@ -462,14 +466,14 @@ class TestSvm:
         rng = np.random.default_rng(21)
         x = rng.normal(size=(20, 3))
         x[:, 1] = 7.0
-        model = fit_svm(x, rng.integers(0, 2, size=20), epochs=5)
+        model = fit_one(x, rng.integers(0, 2, size=20), epochs=5)
         assert model.scale[1] == 1.0
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            fit_svm(np.ones(5), np.ones(5))
+            fit_one(np.ones(5), np.ones(5))
         with pytest.raises(ValueError):
-            fit_svm(np.ones((4, 2)), np.ones(3))
+            fit_one(np.ones((4, 2)), np.ones(3))
 
 
 def assert_same_svm(got, want):
@@ -513,7 +517,7 @@ class TestSvmLockstep:
         y = rng.integers(0, 3, size=40)
         want = fit_svm_oracle(x, y, epochs=30, seed=9)
         assert np.all(want.weights != 0.0)
-        assert_same_svm(fit_svm(x, y, epochs=30, seed=9), want)
+        assert_same_svm(fit_one(x, y, epochs=30, seed=9), want)
 
     def test_protocol_sized_trials(self):
         # 20 stratified 70 % splits of 20 samples a class: 84 rows of 3
@@ -544,7 +548,7 @@ class TestSvmLockstep:
         assert got[0].majority is None and got[2].majority is None
         assert np.all(got[0].weights != 0.0) and np.all(got[2].weights != 0.0)
         # A set's model does not depend on the sets trained beside it.
-        assert_same_svm(got[2], fit_svm(normal[1], y, seed=6))
+        assert_same_svm(got[2], fit_one(normal[1], y, seed=6))
 
     def test_epochs_without_a_violation(self):
         # Well separated classes: after the first steps every margin
@@ -555,7 +559,7 @@ class TestSvmLockstep:
         want = fit_svm_oracle(x, y, lam=1e-2, epochs=50, seed=1, quiet_epochs=quiet)
         assert len(quiet) > 10
         assert np.all(want.weights != 0.0)
-        assert_same_svm(fit_svm(x, y, lam=1e-2, epochs=50, seed=1), want)
+        assert_same_svm(fit_one(x, y, lam=1e-2, epochs=50, seed=1), want)
         got = fit_svm_many([x, x[::-1].copy()], [y, y[::-1].copy()], [1, 2], lam=1e-2, epochs=50)
         assert_same_svm(got[0], want)
         assert_same_svm(got[1], fit_svm_oracle(x[::-1], y[::-1], lam=1e-2, epochs=50, seed=2))
@@ -566,7 +570,7 @@ class TestSvmLockstep:
         x = np.array([[1.0], [0.0]])
         y = np.array([0, 1])
         assert_same_svm(
-            fit_svm(x, y, lam=1.0, epochs=10, seed=23),
+            fit_one(x, y, lam=1.0, epochs=10, seed=23),
             fit_svm_oracle(x, y, lam=1.0, epochs=10, seed=23),
         )
 
@@ -576,7 +580,7 @@ class TestSvmLockstep:
         x = np.array([[0.0], [2.0], [1.0], [-1.0]])
         y = np.array([0, 1, 2, 2])
         assert_same_svm(
-            fit_svm(x, y, lam=0.1, epochs=6, seed=34),
+            fit_one(x, y, lam=0.1, epochs=6, seed=34),
             fit_svm_oracle(x, y, lam=0.1, epochs=6, seed=34),
         )
 
@@ -633,7 +637,7 @@ class TestOnGestureEnvelopes:
         for _ in range(5):
             tr, te = self.split(y, rng)
             nn_hat = nn_labels(x[tr], y[tr], x[te], "l1")
-            svm_hat = svm_predict(fit_svm(x[tr], y[tr]), x[te])
+            svm_hat = svm_predict(fit_one(x[tr], y[tr]), x[te])
             nn_correct += int((nn_hat == y[te]).sum())
             svm_correct += int((svm_hat == y[te]).sum())
             total += len(te)

@@ -2,14 +2,15 @@
 
 import json
 import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mdgest import harness
-from mdgest.classify import SvmModel, fit_svm, svm_predict
 from mdgest.cli import main
-from mdgest.simulate import Dataset
+from mdgest.simulate import Dataset, SimConfig, generate_dataset
 
 
 def first_iq(tiny_dataset_dir):
@@ -152,62 +153,62 @@ class TestSimilarity:
         rc = main(["similarity", "--in", str(tiny_dataset_dir), "--d", "10", "--out", str(tmp_path / "x")])
         assert rc == 3
 
-
-class TestTrain:
-    def test_nearest_neighbor_archive(self, tiny_dataset_dir, tmp_path):
-        out = tmp_path / "nn.npz"
-        rc = main(["train", "--in", str(tiny_dataset_dir), "--out", str(out)])
-        assert rc == 0
-        blob = np.load(out)
-        assert blob["features"].shape[0] == 12
-        assert blob["labels"].shape == (12,)
-
-    def test_svm_archive(self, tiny_dataset_dir, tmp_path):
-        out = tmp_path / "svm.npz"
-        rc = main(
-            ["train", "--in", str(tiny_dataset_dir), "--classifier", "svm", "--out", str(out)]
-        )
-        assert rc == 0
-        blob = np.load(out)
-        assert blob["weights"].shape[0] == 6
-        assert blob["classes"].shape == (6,)
+    def test_nonpositive_dim_is_config_error(self, tiny_dataset_dir, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["similarity", "--in", str(tiny_dataset_dir), "--d", "0", "--out", str(out)]) == 2
+        assert "--d" in capsys.readouterr().err
+        assert not out.exists()
 
 
-    def load_svm(self, path):
-        blob = np.load(path)
-        majority = int(blob["majority"])
-        return SvmModel(
-            blob["weights"], blob["bias"], blob["mean"], blob["scale"], blob["classes"],
-            majority=None if majority < 0 else majority,
-        )
+class TestIqBoundary:
+    OUTPUTS = {
+        "spectrogram": ["--out", "spec.pgm", "--matrix", "spec.csv"],
+        "segment": ["--out", "segs"],
+        "envelope": ["--out", "env.json", "--overlay", "env.pgm"],
+    }
 
-    def train_svm(self, dataset_dir, out):
-        return main(["train", "--in", str(dataset_dir), "--classifier", "svm", "--out", str(out)])
+    @pytest.mark.prop
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_corrupt_file_is_data_error_with_no_output(self, tiny_dataset_dir, data):
+        raw = first_iq(tiny_dataset_dir).read_bytes()
+        if data.draw(st.booleans(), label="truncate"):
+            whole = data.draw(st.integers(0, len(raw) // 8 - 1), label="whole samples")
+            bad = raw[: 8 * whole + data.draw(st.integers(1, 7), label="stray bytes")]
+        else:
+            floats = np.frombuffer(raw, "<f4").copy()
+            i = data.draw(st.integers(0, len(floats) - 1), label="float index")
+            floats[i] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]), label="value")
+            bad = floats.tobytes()
+        with tempfile.TemporaryDirectory() as tmp:
+            src = Path(tmp) / "bad.iq"
+            src.write_bytes(bad)
+            for command, outputs in self.OUTPUTS.items():
+                args = [a if a.startswith("--") else str(Path(tmp) / a) for a in outputs]
+                assert main([command, "--in", str(src), *args]) == 3, command
+            assert [p.name for p in Path(tmp).iterdir()] == ["bad.iq"]
 
-    def test_svm_archive_round_trip(self, tiny_dataset_dir, tmp_path):
-        out = tmp_path / "svm.npz"
-        assert self.train_svm(tiny_dataset_dir, out) == 0
-        pipe = harness.PipelineConfig(classifier="svm")
-        records = Dataset.load(tiny_dataset_dir).records
-        table = harness.extract_features(records, pipe)[pipe.features]
-        want = fit_svm(table.vectors, table.labels, seed=0)
-        got = self.load_svm(out)
-        assert got.majority is None
-        for name in ("weights", "bias", "mean", "scale", "classes"):
-            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
-        np.testing.assert_array_equal(
-            svm_predict(got, table.vectors), svm_predict(want, table.vectors)
-        )
 
-    def test_degenerate_svm_archive_keeps_its_majority(self, tiny_dataset_dir, tmp_path, monkeypatch):
-        labels = np.array([0, 1, 2, 3, 4, 5, 3, 3, 3, 1, 2, 3])
-        flat = harness.FeatureTable(kind="envelope", labels=labels, vectors=np.ones((12, 4)))
-        monkeypatch.setattr(harness, "extract_features", lambda *a, **k: {"envelope": flat})
-        out = tmp_path / "svm.npz"
-        assert self.train_svm(tiny_dataset_dir, out) == 0
-        got = self.load_svm(out)
-        assert got.majority == 3
-        np.testing.assert_array_equal(svm_predict(got, np.zeros((2, 4))), [3, 3])
+@pytest.fixture(scope="module")
+def short_dataset_dir(tmp_path_factory):
+    """Records of 0.1 s: 1280 samples, fewer than the 2048-sample STFT window."""
+    return generate_dataset(2, [SimConfig(duration_s=0.1)]).save(tmp_path_factory.mktemp("short"))
+
+
+class TestShortRecords:
+    @pytest.mark.parametrize(
+        "command",
+        [["eval", "--trials", "2"], ["features", "--kind", "empirical"], ["similarity", "--d", "2"]],
+        ids=["eval", "features", "similarity"],
+    )
+    def test_record_shorter_than_the_window_is_data_error(
+        self, short_dataset_dir, tmp_path, capsys, command
+    ):
+        out = tmp_path / "out"
+        flag = "--out-json" if command[0] == "eval" else "--out"
+        assert main([*command, "--in", str(short_dataset_dir), flag, str(out)]) == 3
+        assert "analysis window" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEval:

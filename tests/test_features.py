@@ -332,7 +332,7 @@ class TestCentralTrajectoryOracle:
     def test_fewer_distinct_points_than_clusters(self):
         pts = np.array([[1.0, 50.0, 2.0], [2.0, -100.0, 1.0], [3.0, 200.0, 0.5]])
         trajs = [Trajectory(pts[[0, 1, 2, 0]]), Trajectory(pts[[1, 1, 2, 0]])]
-        assert len(np.unique(np.vstack([t.tf for t in trajs]), axis=0)) < 5
+        assert len(np.unique(np.vstack([t.points[:, :2] for t in trajs]), axis=0)) < 5
         for seed in range(8):
             self.assert_matches(trajs, 5, seed)
 
@@ -341,7 +341,7 @@ class TestCentralTrajectoryOracle:
         # points go to the first of them and the rest start empty.
         rng = np.random.default_rng(13)
         trajs = grid_trajectories(rng, 4, 3, 1.0, 100.0, 2, 2)
-        n_points = len(np.unique(np.vstack([t.tf for t in trajs]), axis=0)) + 1
+        n_points = len(np.unique(np.vstack([t.points[:, :2] for t in trajs]), axis=0)) + 1
         stats = self.assert_matches(trajs, n_points, 3)
         assert stats["revived"] > 0
 

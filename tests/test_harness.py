@@ -440,11 +440,10 @@ class TestEvaluateSvm:
 
 
 class TestEvaluatePca:
-    """The pca-* predictor works from one Gram matrix per table when the
-    rows have more dims than a trial has train rows, and from a thin SVD
-    of each trial's train rows otherwise; either way every trial's
-    predictions must equal a thin SVD of that trial's centred train
-    rows, ``project`` and a plain 1-NN.  For nn-emd, which sees signs,
+    """The pca-* predictor works from one Gram matrix per table, whether
+    the rows have more dims than a trial has train rows or fewer; either
+    way every trial's predictions must equal a thin SVD of that trial's
+    centred train rows, ``project`` and a plain 1-NN.  For nn-emd, which sees signs,
     the oracle orients each component so that its largest-magnitude
     train coefficient is positive."""
 
@@ -496,17 +495,21 @@ class TestEvaluatePca:
     def test_emd_follows_the_train_orientation(self, kind, per_class, dims):
         self.check_all_trials(self.synthetic(kind, per_class, dims, seed=42), 10, "nn-emd")
 
-    @pytest.mark.parametrize("per_class,route", [(10, "gram_pca"), (50, "svd_pca")])
-    def test_route_follows_train_count(self, per_class, route, monkeypatch):
+    @pytest.mark.parametrize("per_class", [10, 50])
+    def test_one_gram_per_table(self, per_class, monkeypatch):
         # 6 x 7 train rows are fewer than 200 dims, 6 x 35 are more.
         table = self.synthetic("pca-env", per_class, 200, seed=43)
         calls = []
-        real = getattr(subspace, route)
-        monkeypatch.setattr(subspace, route, lambda *a: calls.append(1) or real(*a))
+        for name in ("gram", "gram_pca"):
+            real = getattr(subspace, name)
+            monkeypatch.setattr(
+                subspace, name, lambda *a, name=name, real=real: calls.append(name) or real(*a)
+            )
         pipe = PipelineConfig(features="pca-env", classifier="nn-l1", pca_dim=5)
         predict = _make_predictor(table, pipe, self.proto)
-        predict(0, *split(table.labels, self.proto, 0))
-        assert calls == [1]
+        for trial in range(3):
+            predict(trial, *split(table.labels, self.proto, trial))
+        assert calls == ["gram"] + ["gram_pca"] * 3
 
     def test_real_spectrogram_images(self, twelve_records):
         table = extract_features(twelve_records, PipelineConfig(features="pca-spec"))["pca-spec"]

@@ -15,9 +15,7 @@ from mdgest.subspace import (
     project,
     similarity,
     similarity_table,
-    svd_pca,
 )
-from mdgest.tfr import GrayImage
 
 
 def random_subspace(rng, ambient, d):
@@ -118,20 +116,34 @@ class TestPcaOracle:
         )
 
 
+def svd_coefficients(x_train, x_test, d):
+    """The thin-SVD route to ``gram_pca``'s coefficients: ``fit_pca`` of
+    the train rows and ``project``, with components whose eigenvalue is
+    below 1e-12 of the largest zeroed and each component turned so that
+    its largest-magnitude train coefficient is positive."""
+    model = fit_pca(x_train, d)
+    lam = model.singular_values[:d] ** 2
+    keep = lam > 1e-12 * lam[0]
+    ztr, zte = project(model, x_train) * keep, project(model, x_test) * keep
+    top = ztr[np.abs(ztr).argmax(axis=0), np.arange(ztr.shape[1])]
+    flip = np.where(top < 0, -1.0, 1.0)
+    return ztr * flip, zte * flip
+
+
 def coefficients(route, x, tr, te, d):
-    """Train and test PCA coefficients by one of the two routes."""
+    """Train and test PCA coefficients by ``gram_pca`` or by the SVD route."""
     if route == "gram":
         return gram_pca(gram(x), x.shape[1], tr, te, d)
-    return svd_pca(x[tr], x[te], d)
+    return svd_coefficients(x[tr], x[te], d)
 
 
 ROUTES = ["gram", "svd"]
 
 
 class TestPcaCoefficients:
-    """``gram_pca`` (method of snapshots) and ``svd_pca`` (thin SVD of
-    the train rows) must both equal ``project`` onto the oracle's basis,
-    up to one orientation they share."""
+    """``gram_pca`` (method of snapshots) and the thin SVD of the train
+    rows (``fit_pca`` and ``project``) must both equal ``project`` onto
+    the oracle's basis, up to one orientation they share."""
 
     def split(self, m, seed=23):
         perm = np.random.default_rng(seed).permutation(m)
@@ -156,8 +168,8 @@ class TestPcaCoefficients:
 
     @pytest.mark.parametrize("shape", [(84, 2500), (300, 200)], ids=["m<q", "m>q"])
     def test_routes_agree_with_signs(self, shape):
-        # The predictor picks a route by shape; a sign-sensitive metric
-        # (nn-emd) must not see which one ran.
+        # Both shapes take the Gram route in the predictor; a
+        # sign-sensitive metric (nn-emd) must see the SVD route's signs.
         rng = np.random.default_rng(30)
         x = image_like(rng, *shape, rank=min(40, shape[1]))
         tr, te = self.split(shape[0])
@@ -273,13 +285,6 @@ class TestPca:
     def test_rank_bounds_enforced(self, d):
         with pytest.raises(ValueError):
             fit_pca(np.ones((8, 7)), d)
-
-    def test_accepts_gray_images(self):
-        rng = np.random.default_rng(5)
-        mats = [rng.random((4, 3)) for _ in range(6)]
-        from_imgs = fit_pca([GrayImage(m) for m in mats], d=2)
-        from_rows = fit_pca(np.vstack([m.reshape(-1) for m in mats]), d=2)
-        np.testing.assert_allclose(from_imgs.basis, from_rows.basis, atol=1e-12)
 
 
 class TestClassSubspace:
