@@ -56,8 +56,14 @@ def _load_dataset(path: str) -> simulate.Dataset:
     return ds
 
 
-def _apply_config_file(args):
-    """Overlay --config JSON keys onto the parsed arguments."""
+def _apply_config_file(args, parser: argparse.ArgumentParser):
+    """Overlay --config JSON keys onto the parsed arguments.
+
+    A key names a global option or one of the command's.  Its value is
+    converted as argparse converts the option's text, so it must be a
+    string or a number that the option would accept; a flag takes true
+    or false.
+    """
     if not args.config:
         return
     path = Path(args.config)
@@ -69,11 +75,27 @@ def _apply_config_file(args):
         raise ConfigError(f"bad config file: {e}") from e
     if not isinstance(overrides, dict):
         raise ConfigError("config file must hold a JSON object")
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        a.dest: a
+        for a in parser._actions + sub.choices[args.command]._actions
+        if a.option_strings and a.dest != "help"
+    }
     for key, value in overrides.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        action = options.get(key.replace("-", "_"))
+        if action is None:
             raise ConfigError(f"unknown config key: {key}")
-        setattr(args, attr, value)
+        if action.nargs == 0:
+            if not isinstance(value, bool):
+                raise ConfigError(f"config key {key} must be true or false")
+        elif isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise ConfigError(f"config key {key} must be a string or a number")
+        else:
+            try:
+                value = (action.type or str)(str(value))
+            except ValueError as e:
+                raise ConfigError(f"config key {key}: {e}") from e
+        setattr(args, action.dest, value)
 
 
 def _pipeline_from_args(args) -> harness.PipelineConfig:
@@ -91,7 +113,10 @@ def _pipeline_from_args(args) -> harness.PipelineConfig:
 def _cmd_simulate(args) -> int:
     if args.per_class < 1:
         raise ConfigError("--per-class must be at least 1")
-    grid = simulate.default_grid(snr_db=args.snr)
+    try:
+        grid = simulate.default_grid(snr_db=args.snr)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
     ds = simulate.generate_dataset(args.per_class, grid, base_seed=args.seed)
     ds.save(args.out)
     print(f"wrote {len(ds)} records to {args.out}")
@@ -134,9 +159,10 @@ def _cmd_segment(args) -> int:
 
 def _cmd_envelope(args) -> int:
     rec = _load_record(Path(args.infile))
+    pipe = harness.PipelineConfig()
     try:
-        spec = tfr.spectrogram(rec)
-        env = envelope.extract(spec)
+        spec = tfr.spectrogram(rec, pipe.stft, pipe.band_hz)
+        env = envelope.extract(spec, pipe.env)
     except ValueError as e:
         raise DataError(str(e)) from e
     payload = {
@@ -147,7 +173,6 @@ def _cmd_envelope(args) -> int:
     Path(args.out).write_text(json.dumps(payload, indent=2))
     print(f"wrote {args.out}")
     if args.overlay:
-        pipe = harness.PipelineConfig()
         cropped = spec.crop_band(pipe.image_band_hz)
         img = tfr.to_gray(cropped, pipe.image_size, pipe.image_dyn_db)
         marks = envelope.envelope_image(cropped, env, img.size)
@@ -295,7 +320,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(args)
+        _apply_config_file(args, parser)
         return args.fn(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

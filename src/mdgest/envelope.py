@@ -71,53 +71,17 @@ class EnvelopePair:
             raise ValueError("upper trace must be >= 0 and lower trace <= 0")
 
 
-class IncompleteBand(ValueError):
-    """The rows a band-limited spectrogram left out could change its envelope."""
-
-
-# The squared-power energy a band-limited STFT measures for a row it left
-# out is within this factor of the float32 sum ``_effective_band`` would
-# form from the complete matrix (normalization, squaring and summation
-# round to a few parts in 1e5).
-_OUTSIDE_ERROR = 1.02
-
-
-def _effective_band(
-    sq: np.ndarray,
-    absf: np.ndarray,
-    in_band: np.ndarray,
-    frac: float,
-    outside: np.ndarray,
-) -> float:
+def _effective_band(sq: np.ndarray, absf: np.ndarray, in_band: np.ndarray, frac: float) -> float:
     """Smallest symmetric |f| radius containing ``frac`` of the in-band
-    squared-power energy.
-
-    ``outside`` holds the normalized squared-power energy of each row
-    missing from ``sq``, all farther out than every row present.  The
-    radius is the one the complete matrix gives; where those rows could
-    move it, ``IncompleteBand`` is raised instead.
-    """
+    squared-power energy of the rows present; 0.0 when there is none."""
     rows = np.flatnonzero(in_band)
     energy = sq[rows].sum(axis=1)
     order = np.argsort(absf[rows], kind="stable")
     cum = np.cumsum(energy[order])
     total = cum[-1]
     if total <= 0.0:
-        if np.any(outside > 0.0):
-            raise IncompleteBand("all in-band energy lies outside the band")
         return 0.0
     k = int(np.searchsorted(cum, frac * total))
-    if outside.size:
-        # The complete matrix adds the missing rows to the float32 running
-        # total.  A row under half a unit in its last place leaves it as it
-        # is; a larger one raises it by at most twice its energy (itself,
-        # plus at most half a unit of the result).  Below the threshold
-        # that gives (1e-6 covers rounding the product), row k stays the
-        # first to reach it.
-        upper = _OUTSIDE_ERROR * outside
-        added = upper[upper >= float(np.spacing(total)) / 2].sum()
-        if cum[k] < frac * (float(total) + 2.0 * added) * (1 + 1e-6):
-            raise IncompleteBand("the rows outside the band could move the effective band")
     return float(absf[rows][order][min(k, len(rows) - 1)])
 
 
@@ -157,14 +121,10 @@ def extract(spec: Spectrogram, cfg: EnvelopeConfig = EnvelopeConfig()) -> Envelo
     above sigma times the column energy.  Traces are linearly resampled
     to ``points_per_side`` samples.
 
-    A band-limited spectrogram (``tfr.stft_power`` with a band) gives
-    the envelope of the complete one, or raises ``IncompleteBand`` where
-    the rows it left out could change it.
+    Only the rows ``spec`` holds count: a band-limited spectrogram
+    (``tfr.stft_power`` with a band) gives the envelope of that band.
     """
     peak = spec.power.max() if spec.power.size else 0.0
-    out_peak, out_sq = spec.outside or (0.0, np.zeros(0))
-    if out_peak > peak:
-        raise IncompleteBand("the peak power may lie outside the band")
     n_pts = cfg.points_per_side
     if spec.n_cols >= 2:
         grid = np.linspace(spec.time_s[0], spec.time_s[-1], n_pts)
@@ -179,7 +139,7 @@ def extract(spec: Spectrogram, cfg: EnvelopeConfig = EnvelopeConfig()) -> Envelo
     f = spec.freq_hz
     absf = np.abs(f)
     in_band = absf >= cfg.f_min_hz
-    f_edge = _effective_band(sq, absf, in_band, cfg.band_energy_frac, out_sq / float(peak) ** 2)
+    f_edge = _effective_band(sq, absf, in_band, cfg.band_energy_frac)
     if f_edge < cfg.f_min_hz:
         return EnvelopePair(np.zeros(n_pts), np.zeros(n_pts), grid, bin_hz)
 

@@ -66,6 +66,12 @@ class PipelineConfig:
         if self.pca_dim < 1:
             raise ValueError("pca_dim must be positive")
 
+    @property
+    def band_hz(self) -> float:
+        """The |f| radius of the spectrogram rows that every feature kind
+        reads: the image band or the burst-curve band, whichever is wider."""
+        return max(self.image_band_hz, self.pbc.band_hz)
+
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
@@ -123,16 +129,11 @@ class FeatureTable:
 
 
 def _record_features(record, pipe: PipelineConfig, kinds: tuple[str, ...]) -> dict:
-    # Every kind reads only rows inside the image band or the burst-curve
-    # band, so both spectrograms keep just the rows that cover them; the
-    # one the envelope reads also measures the rest (see envelope.extract).
-    band = max(pipe.image_band_hz, pipe.pbc.band_hz)
-    need_env = bool({"envelope", "empirical", "pca-env", "pca-envimg"} & set(kinds))
     # The sparse-trajectory decomposition is defined on the record as
     # measured; recentering belongs to the segment-based pipelines, so a
     # request for trajectories alone skips it.
     recenter = pipe.recenter and bool(set(kinds) - {"trajectory"})
-    spec = tfr.spectrogram(record, pipe.stft, band, need_env and not recenter)
+    spec = tfr.spectrogram(record, pipe.stft, pipe.band_hz)
     raw_spec = spec
     # The strongest burst of ``spec``, computed once per spectrogram.
     burst = None
@@ -140,17 +141,14 @@ def _record_features(record, pipe: PipelineConfig, kinds: tuple[str, ...]) -> di
         burst = segmentation.bursts(spec, pipe.pbc)[1]
     if recenter and burst is not None:
         record = segmentation.window(record, burst, record.duration_s)
-        spec = tfr.spectrogram(record, pipe.stft, band, need_env)
+        spec = tfr.spectrogram(record, pipe.stft, pipe.band_hz)
         if "empirical" in kinds:
             burst = segmentation.bursts(spec, pipe.pbc)[1]
 
     out: dict = {}
     env = None
-    if need_env:
-        try:
-            env = envelope.extract(spec, pipe.env)
-        except envelope.IncompleteBand:
-            env = envelope.extract(tfr.spectrogram(record, pipe.stft), pipe.env)
+    if {"envelope", "empirical", "pca-env", "pca-envimg"} & set(kinds):
+        env = envelope.extract(spec, pipe.env)
 
     if "envelope" in kinds or "pca-env" in kinds:
         vec = envelope.to_feature(env)

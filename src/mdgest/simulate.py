@@ -90,6 +90,8 @@ class SimConfig:
             raise ValueError("carrier, sample rate and duration must be positive")
         if self.speed not in SPEED_MODES:
             raise ValueError(f"speed must be one of {SPEED_MODES}, got {self.speed!r}")
+        if np.isnan(self.snr_db):
+            raise ValueError("SNR must be a number of dB or inf, not NaN")
         if self.sample_rate_hz < 2 * DOPPLER_BAND_HZ:
             raise ValueError("sample rate under-samples the Doppler band")
         n = self.duration_s * self.sample_rate_hz

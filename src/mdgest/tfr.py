@@ -36,19 +36,11 @@ class StftConfig:
 
 @dataclass
 class Spectrogram:
-    """Power matrix with frequency rows (ascending) and time columns.
-
-    ``outside`` describes the rows a band-limited STFT left out: their
-    largest power, and per row (in FFT bin order) the sum of its squared
-    powers over all columns; every value is inf where they were not
-    measured.  None means no row is missing, or that the matrix is to be
-    read as it is.
-    """
+    """Power matrix with frequency rows (ascending) and time columns."""
 
     power: np.ndarray
     time_s: np.ndarray
     freq_hz: np.ndarray
-    outside: tuple[float, np.ndarray] | None = None
 
     @property
     def n_cols(self) -> int:
@@ -71,18 +63,16 @@ def stft_power(
     sample_rate_hz: float,
     cfg: StftConfig = StftConfig(),
     band_hz: float | None = None,
-    measure_outside: bool = False,
 ) -> Spectrogram:
     """Power spectrogram of ``x``, every row or only a band of them.
 
     With ``band_hz`` the rows are the fewest that cover
     [-band_hz, +band_hz]: every row with |f| <= band_hz, plus the next
-    row out on a side where band_hz falls between two bins.
-    ``measure_outside`` also fills ``Spectrogram.outside`` for the rows
-    left out.  Columns are transformed ``_BLOCK_COLS`` at a time and
-    only the kept bins are stored, so no full-size spectrum exists at
-    once.  The power matrix is the transpose of a (columns x rows)
-    array, and each value has the same bits with or without a band.
+    row out on a side where band_hz falls between two bins.  Columns
+    are transformed ``_BLOCK_COLS`` at a time and only the kept bins are
+    stored, so no full-size spectrum exists at once.  The power matrix
+    is the transpose of a (columns x rows) array, and each value has the
+    same bits with or without a band.
     """
     x = np.asarray(x)
     if x.ndim != 1:
@@ -97,42 +87,25 @@ def stft_power(
         lo = max(int(np.searchsorted(freq, -band_hz, side="right")) - 1, 0)
         hi = min(int(np.searchsorted(freq, band_hz, side="left")), len(freq) - 1)
         freq, bins = freq[lo : hi + 1], bins[lo : hi + 1]
-    # The kept rows always hold 0 Hz, so the bins left out are one run:
-    # from the last kept positive bin to the first kept negative one.
-    rest = slice(bins[-1] + 1, bins[0] if bins[0] > bins[-1] else cfg.fft_size)
     frames = np.lib.stride_tricks.sliding_window_view(x, cfg.window_len)[:: cfg.hop]
     n_cols = len(frames)
     power = None
-    n_rest = rest.stop - rest.start
-    out_peak, out_sq = 0.0, np.zeros(n_rest)
     for c0 in range(0, n_cols, _BLOCK_COLS):
         spec = scipy.fft.fft(frames[c0 : c0 + _BLOCK_COLS], n=cfg.fft_size, axis=1)
         mag = np.abs(spec[:, bins])
         if power is None:
             power = np.empty((n_cols, len(bins)), dtype=mag.dtype)
         np.square(mag, out=power[c0 : c0 + len(mag)])
-        if measure_outside and n_rest:
-            p = np.abs(spec[:, rest])
-            np.square(p, out=p)
-            out_peak = max(out_peak, float(p.max()))
-            # A square that underflows loses less than the smallest normal
-            # value, so the sums stay upper bounds.
-            np.square(p, out=p)
-            out_sq += p.sum(axis=0, dtype=np.float64) + len(p) * np.finfo(p.dtype).tiny
-    outside = None
-    if n_rest:
-        outside = (out_peak, out_sq) if measure_outside else (np.inf, np.full(n_rest, np.inf))
     time = (cfg.hop * np.arange(n_cols) + cfg.window_len / 2.0) / sample_rate_hz
-    return Spectrogram(power.T, time, freq, outside)
+    return Spectrogram(power.T, time, freq)
 
 
 def spectrogram(
     record: IQRecord,
     cfg: StftConfig = StftConfig(),
     band_hz: float | None = None,
-    measure_outside: bool = False,
 ) -> Spectrogram:
-    return stft_power(record.samples, record.sample_rate_hz, cfg, band_hz, measure_outside)
+    return stft_power(record.samples, record.sample_rate_hz, cfg, band_hz)
 
 
 @dataclass

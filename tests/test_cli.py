@@ -1,5 +1,7 @@
 """Command-line flows, in process: exit codes, outputs, config overlay."""
 
+import contextlib
+import io
 import json
 import shutil
 import tempfile
@@ -9,8 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mdgest import tfr
 from mdgest.cli import main
-from mdgest.simulate import Dataset, SimConfig, generate_dataset
+from mdgest.envelope import extract
+from mdgest.harness import PipelineConfig
+from mdgest.simulate import Dataset, IQRecord, SimConfig, generate_dataset
 
 
 def first_iq(tiny_dataset_dir):
@@ -30,6 +35,18 @@ class TestSimulate:
 
     def test_bad_per_class_is_config_error(self, tmp_path):
         assert main(["simulate", "--out", str(tmp_path / "x"), "--per-class", "0"]) == 2
+
+    def test_nan_snr_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "ds"
+        assert main(["simulate", "--out", str(out), "--per-class", "1", "--snr", "nan"]) == 2
+        assert "NaN" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_snr_writes_noiseless_records(self, tmp_path):
+        out = tmp_path / "ds"
+        assert main(["simulate", "--out", str(out), "--per-class", "1", "--snr", "inf"]) == 0
+        ds = Dataset.load(out)
+        assert all(r.config.snr_db == np.inf for r in ds.records)
 
 
 class TestSpectrogram:
@@ -83,6 +100,26 @@ class TestEnvelope:
         assert set(payload) == {"upper_hz", "lower_hz", "time_s"}
         assert len(payload["upper_hz"]) == len(payload["time_s"]) == 100
         assert overlay.read_bytes().startswith(b"P5\n")
+
+    def test_traces_are_the_band_envelope(self, twelve_records, tmp_path):
+        """The command reads the rows feature extraction reads, so a strong
+        tone at 3 kHz, outside them, leaves the traces as they are."""
+        rec = twelve_records[0]
+        t = np.arange(len(rec.samples)) / rec.sample_rate_hz
+        tone = 10.0 * np.abs(rec.samples).max() * np.exp(2j * np.pi * 3000.0 * t)
+        record = IQRecord((rec.samples + tone).astype("<c8"), rec.sample_rate_hz)
+        path = tmp_path / "tone.iq"
+        record.samples.tofile(path)
+        out = tmp_path / "env.json"
+        assert main(["envelope", "--in", str(path), "--out", str(out)]) == 0
+        pipe = PipelineConfig()
+        want = extract(tfr.spectrogram(record, pipe.stft, pipe.band_hz), pipe.env)
+        got = json.loads(out.read_text())
+        assert got["upper_hz"] == want.upper_hz.tolist()
+        assert got["lower_hz"] == want.lower_hz.tolist()
+        assert got["time_s"] == want.time_s.tolist()
+        full = extract(tfr.spectrogram(record, pipe.stft), pipe.env)
+        assert got["upper_hz"] != full.upper_hz.tolist()
 
 
     @staticmethod
@@ -211,6 +248,39 @@ class TestShortRecords:
         assert not out.exists()
 
 
+def rejected_by(convert):
+    def rejected(text):
+        try:
+            convert(text)
+        except ValueError:
+            return True
+        return False
+
+    return rejected
+
+
+# JSON values that are neither a string nor a number.
+_NOT_TEXT = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+# (key, value) pairs that the `mdg eval` option named by the key rejects.
+ILL_TYPED_CONFIG = st.one_of(
+    st.tuples(
+        st.sampled_from(["seed", "jobs", "trials", "pca-dim"]),
+        st.one_of(_NOT_TEXT, st.floats(), st.text().filter(rejected_by(int))),
+    ),
+    st.tuples(st.just("train_fraction"), st.one_of(_NOT_TEXT, st.text().filter(rejected_by(float)))),
+    st.tuples(
+        st.just("no-recenter"),
+        st.one_of(st.none(), st.integers(), st.floats(), st.text(), st.lists(st.booleans())),
+    ),
+    st.tuples(st.sampled_from(["features", "classifier", "out-csv"]), _NOT_TEXT),
+)
+
+
 class TestEval:
     def run_eval(self, dataset_dir, tmp_path, extra=()):
         out_json = tmp_path / "report.json"
@@ -298,6 +368,21 @@ class TestEval:
         payload = json.loads(out_json.read_text())
         assert payload["pipeline"]["classifier"] == "nn-l2"
         assert payload["trials"] == 2
+
+    @pytest.mark.prop
+    @settings(max_examples=60, deadline=None)
+    @given(case=ILL_TYPED_CONFIG)
+    def test_ill_typed_config_value_is_config_error(self, tiny_dataset_dir, case):
+        key, value = case
+        with tempfile.TemporaryDirectory() as tmp:
+            cfgfile = Path(tmp) / "cfg.json"
+            cfgfile.write_text(json.dumps({key: value}))
+            args = ["eval", "--in", str(tiny_dataset_dir), "--out-json", str(Path(tmp) / "r.json")]
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                assert main(["--config", str(cfgfile), *args]) == 2
+            assert stdout.getvalue() == ""
+            assert [p.name for p in Path(tmp).iterdir()] == ["cfg.json"]
 
     def test_unknown_config_key_is_config_error(self, tiny_dataset_dir, tmp_path):
         cfgfile = tmp_path / "cfg.json"

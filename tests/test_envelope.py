@@ -6,7 +6,6 @@ import pytest
 from mdgest.envelope import (
     EnvelopeConfig,
     EnvelopePair,
-    IncompleteBand,
     _effective_band,
     envelope_image,
     extract,
@@ -140,91 +139,30 @@ class TestScaleInvariance:
 
 
 class TestBandLimitedInput:
-    """A band-limited spectrogram gives the full one's envelope or says it cannot."""
+    """A band-limited spectrogram gives the envelope of its own rows."""
 
-    # At 500 Hz the band cuts into the signal, so fewer envelopes certify.
-    @pytest.mark.parametrize("band_hz, min_certified", [(640.0, 5), (500.0, 1)])
-    def test_equal_to_full_spectrogram_or_incomplete(self, six_records, band_hz, min_certified):
-        certified = 0
+    @pytest.mark.parametrize("band_hz", [640.0, 500.0])
+    def test_equal_to_full_spectrogram_cut_to_the_band(self, six_records, band_hz):
         for rec in six_records:
-            full = extract(spectrogram(rec, StftConfig()))
-            band = spectrogram(rec, StftConfig(), band_hz, measure_outside=True)
-            try:
-                env = extract(band)
-            except IncompleteBand:
-                continue
-            certified += 1
-            np.testing.assert_array_equal(env.upper_hz, full.upper_hz)
-            np.testing.assert_array_equal(env.lower_hz, full.lower_hz)
-            np.testing.assert_array_equal(env.time_s, full.time_s)
-        assert certified >= min_certified
-
-    def test_unmeasured_rows_cannot_be_certified(self, six_records):
-        band = spectrogram(six_records[0], StftConfig(), 640.0)
-        with pytest.raises(IncompleteBand):
-            extract(band)
-
-    def test_peak_outside_the_band_is_incomplete(self):
-        spec = ridge_spec(np.full(12, 260.0))
-        spec.outside = (2.0 * spec.power.max(), np.zeros(3))
-        with pytest.raises(IncompleteBand, match="peak"):
-            extract(spec)
-
-    def test_quiet_outside_rows_change_nothing(self):
-        spec = ridge_spec(np.full(12, 260.0))
-        want = extract(spec)
-        spec.outside = (0.0, np.zeros(3))
-        got = extract(spec)
-        np.testing.assert_array_equal(got.upper_hz, want.upper_hz)
-
-    def test_loud_outside_row_is_incomplete(self):
-        spec = ridge_spec(np.full(12, 260.0))
-        total = float((spec.power[np.abs(FREQ) >= 20] ** 2).sum())
-        spec.outside = (0.0, np.array([0.0, 0.05 * total, 0.0]))
-        with pytest.raises(IncompleteBand, match="move"):
-            extract(spec)
+            band = spectrogram(rec, StftConfig(), band_hz)
+            full = spectrogram(rec, StftConfig())
+            keep = np.isin(full.freq_hz, band.freq_hz)
+            want = extract(Spectrogram(full.power[keep], full.time_s, full.freq_hz[keep]))
+            got = extract(band)
+            np.testing.assert_array_equal(got.upper_hz, want.upper_hz)
+            np.testing.assert_array_equal(got.lower_hz, want.lower_hz)
+            np.testing.assert_array_equal(got.time_s, want.time_s)
 
     def test_effective_band_certifies_or_raises(self):
-        """Rows left out of the band, given as energies, either leave the
-        complete matrix's edge where the band put it or raise."""
+        """The edge is the first row, from the inside out, whose running
+        energy reaches the fraction; a band with no energy has edge 0."""
         energy = np.array([0.5, 0.25, 0.125, 0.0625], np.float32)
         absf = np.array([30.0, 40.0, 50.0, 60.0])
-        ulp = float(np.spacing(energy.sum()))
-        gap = 400 * ulp  # the threshold sits this far below the third row's running total
-        frac = (0.875 - gap) / 0.9375
-
-        def band(outside):
-            return _effective_band(energy[:, None], absf, np.ones(4, bool), frac, outside)
-
-        def complete(outside):  # every row in the float32 running total
-            cum = np.cumsum(np.concatenate([energy, outside.astype(np.float32)]))
-            return absf[int(np.searchsorted(cum, frac * cum[-1]))]
-
-        assert band(np.zeros(0)) == 50.0
-        quiet = np.full(10_000, 0.4 * ulp)  # each under half a unit: they add nothing
-        assert band(quiet) == complete(quiet) == 50.0
-        with pytest.raises(IncompleteBand):  # could add up to twice its size
-            band(np.array([0.75 * gap / frac]))
-        with pytest.raises(IncompleteBand):  # each over half a unit
-            band(np.full(300, ulp))
-        silent = np.zeros((4, 1), np.float32)  # no in-band energy left in the band
-        assert _effective_band(silent, absf, np.ones(4, bool), frac, np.zeros(2)) == 0.0
-        with pytest.raises(IncompleteBand):
-            _effective_band(silent, absf, np.ones(4, bool), frac, np.array([0.0, 1e-30]))
-
-    @pytest.mark.prop
-    def test_float32_total_grows_by_at_most_twice_its_significant_terms(self):
-        """The bound extract relies on, at and across binade edges: terms
-        under half a unit in the last place add nothing, the others at
-        most twice their size."""
-        rng = np.random.default_rng(11)
-        for trial in range(400):
-            total = np.float32(rng.choice([0.22, 0.49999997, 0.9999999, 1.0, 3e-5]))
-            half_ulp = float(np.spacing(total)) / 2
-            terms = (2 * half_ulp * rng.lognormal(-1.0, 2.0, size=rng.integers(1, 400)))
-            terms = terms.astype(np.float32).astype(float)
-            acc = np.cumsum(np.concatenate(([total], terms)), dtype=np.float32)[-1]
-            assert acc - float(total) <= 2.0 * terms[terms >= half_ulp].sum()
+        # the threshold sits just below the running total at the third row
+        frac = (0.875 - 400 * float(np.spacing(energy.sum()))) / 0.9375
+        assert _effective_band(energy[:, None], absf, np.ones(4, bool), frac) == 50.0
+        silent = np.zeros((4, 1), np.float32)
+        assert _effective_band(silent, absf, np.ones(4, bool), frac) == 0.0
 
 
 class TestPairAndFeature:

@@ -22,7 +22,7 @@ from mdgest.harness import (
     split,
 )
 from mdgest.classify import pairwise_distances, svm_predict
-from mdgest.simulate import STREAM_KMEANS, STREAM_SPLIT, STREAM_SVM
+from mdgest.simulate import STREAM_KMEANS, STREAM_SPLIT, STREAM_SVM, GestureLabel, IQRecord
 from mdgest.subspace import project
 from conftest import make_records
 from test_classify import emd_lp_oracle, fit_svm_oracle, mhd_oracle
@@ -115,9 +115,17 @@ def strongest_interval(curve, time_s, intervals):
     return best
 
 
+def band_rows(spec, band_hz):
+    """The fewest rows of ``spec`` that cover [-band_hz, +band_hz]."""
+    f = spec.freq_hz
+    keep = (f >= f[f <= -band_hz].max()) & (f <= f[f >= band_hz].min())
+    return tfr.Spectrogram(spec.power[keep], spec.time_s, f[keep])
+
+
 def full_spectrogram_features(record, pipe, kinds):
     """Oracle: every kind from full 4096-row spectrograms, the burst curve
-    recomputed wherever it is read."""
+    recomputed wherever it is read.  The envelope reads the rows that
+    cover the wider of the image and burst-curve bands."""
     spec = tfr.spectrogram(record, pipe.stft)
     raw_spec = spec
     if pipe.recenter and set(kinds) - {"trajectory"}:
@@ -127,7 +135,8 @@ def full_spectrogram_features(record, pipe, kinds):
             iv = strongest_interval(curve, spec.time_s, intervals)
             record = segmentation.window(record, iv, record.duration_s)
             spec = tfr.spectrogram(record, pipe.stft)
-    env = envelope.extract(spec, pipe.env)
+    band = max(pipe.image_band_hz, pipe.pbc.band_hz)
+    env = envelope.extract(band_rows(spec, band), pipe.env)
     curve = segmentation.smooth(segmentation.pbc(spec, pipe.pbc), pipe.pbc.smooth_len)
     intervals = segmentation.detect(curve, spec.time_s, pipe.pbc)
     if intervals:
@@ -153,7 +162,8 @@ def full_spectrogram_features(record, pipe, kinds):
 
 
 class TestBandSpectrogramFeatures:
-    """Band-limited spectrograms give every kind the bits of full ones."""
+    """Band-limited spectrograms give every kind the bits of full ones
+    cut to the band."""
 
     def assert_tables_match_oracle(self, records, pipe):
         kinds = FEATURE_KINDS
@@ -172,24 +182,6 @@ class TestBandSpectrogramFeatures:
     def test_narrow_image_band_still_covers_burst_band(self, twelve_records, image_band_hz):
         pipe = PipelineConfig(image_band_hz=image_band_hz)
         self.assert_tables_match_oracle(twelve_records[::3], pipe)
-
-    def test_uncertified_envelopes_fall_back_to_full_spectrogram(
-        self, twelve_records, monkeypatch
-    ):
-        calls = []
-        real = tfr.spectrogram
-
-        def counted(record, cfg=tfr.StftConfig(), band_hz=None, measure_outside=False):
-            calls.append(band_hz)
-            return real(record, cfg, band_hz, measure_outside)
-
-        # So loose a bound on the rows left out certifies no envelope.
-        monkeypatch.setattr(envelope, "_OUTSIDE_ERROR", 1e9)
-        monkeypatch.setattr(tfr, "spectrogram", counted)
-        records = twelve_records[:4]
-        extract_features(records, PipelineConfig(), kinds=("envelope",))
-        assert calls.count(None) == len(records)
-        self.assert_tables_match_oracle(records, PipelineConfig())
 
 
 class TestExtractFeatures:
@@ -253,6 +245,27 @@ class TestExtractFeatures:
         assert len(calls) == len(records)
         for got, want in zip(table.trajectories, raw):
             np.testing.assert_array_equal(got.points, want.points)
+
+    @pytest.mark.parametrize(
+        "source, recenter, calls",
+        [("gesture", True, 2), ("gesture", False, 1), ("tone", True, 1)],
+        ids=["recentred", "no-recenter", "no-burst"],
+    )
+    def test_spectrograms_per_record(self, twelve_records, monkeypatch, source, recenter, calls):
+        """One band STFT a record, and one more only when recentring cuts
+        a burst; a steady tone has no burst to cut."""
+        pipe = PipelineConfig(recenter=recenter)
+        if source == "tone":
+            t = np.arange(64_000) / 12_800.0
+            samples = np.exp(2j * np.pi * 100.0 * t).astype(np.complex64)
+            record = IQRecord(samples, 12_800.0, GestureLabel(0))
+            spec = tfr.spectrogram(record, pipe.stft, pipe.band_hz)
+            assert segmentation.bursts(spec, pipe.pbc)[1] is None
+        else:
+            record = twelve_records[0]
+        seen = self.count_spectrograms(monkeypatch)
+        extract_features([record], pipe, kinds=("envelope", "empirical", "pca-envimg"))
+        assert len(seen) == calls
 
     def test_mixed_request_still_recentres_for_envelope(self, twelve_records, monkeypatch):
         records = twelve_records[:3]

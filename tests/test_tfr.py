@@ -148,20 +148,6 @@ class TestBlockedBandStft:
         with pytest.raises(ValueError, match="non-negative"):
             stft_power(self.signal(4096), FS, StftConfig(), -1.0)
 
-    def test_outside_measures_the_rows_left_out(self):
-        x = self.signal(2048 + 128 * 70)
-        full, freq = one_shot_power(x, FS, StftConfig())
-        spec = stft_power(x, FS, StftConfig(), 640.0, measure_outside=True)
-        # FFT bin order: the rows above the band, then those below it
-        rest = np.concatenate([full[freq > spec.freq_hz[-1]], full[freq < spec.freq_hz[0]]])
-        peak, sq = spec.outside
-        assert peak == rest.max()
-        np.testing.assert_allclose(sq, (rest.astype(float) ** 2).sum(axis=1), rtol=1e-5)
-        peak, sq = stft_power(x, FS, StftConfig(), 640.0).outside
-        assert peak == np.inf and sq.shape == (len(rest),) and np.all(sq == np.inf)
-        assert stft_power(x, FS, StftConfig()).outside is None
-        assert stft_power(x, FS, StftConfig(), FS).outside is None
-
 
 class TestCropBand:
     def test_crop_keeps_band(self):
