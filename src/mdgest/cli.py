@@ -321,6 +321,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_config_file(args, parser)
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
         return args.fn(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -337,11 +337,7 @@ def _make_predictor(table: FeatureTable, pipe: PipelineConfig, protocol: EvalPro
 
         return predict
 
-    if metric is classify.DistanceKind.MHD:
-        sets = [classify.envelope_to_points(v) for v in table.vectors]
-        dmat = classify.pairwise_distances(sets, sets, metric)
-    else:
-        dmat = classify.pairwise_distances(table.vectors, table.vectors, metric)
+    dmat = classify.pairwise_distances(table.vectors, table.vectors, metric)
 
     def predict(trial, tr, te):
         sub = dmat[np.ix_(te, tr)]

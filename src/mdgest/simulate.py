@@ -72,8 +72,9 @@ class SimConfig:
 
     ``snr_db`` is the ratio of deterministic scatterer power to noise
     power measured over the active part of the motion; ``math.inf``
-    disables noise.  ``noise_floor`` is the noise variance used when the
-    tracks carry no signal at all (zero amplitudes).
+    disables noise, and NaN or ``-math.inf`` are rejected.
+    ``noise_floor`` is the noise variance used when the tracks carry no
+    signal at all (zero amplitudes).
     """
 
     carrier_hz: float = 25.0e9
@@ -92,6 +93,8 @@ class SimConfig:
             raise ValueError(f"speed must be one of {SPEED_MODES}, got {self.speed!r}")
         if np.isnan(self.snr_db):
             raise ValueError("SNR must be a number of dB or inf, not NaN")
+        if self.snr_db == -np.inf:
+            raise ValueError("SNR must be a number of dB or +inf, not -inf")
         if self.sample_rate_hz < 2 * DOPPLER_BAND_HZ:
             raise ValueError("sample rate under-samples the Doppler band")
         n = self.duration_s * self.sample_rate_hz

@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 from mdgest.classify import (
+    ENVELOPE_SCALE_HZ,
     DistanceKind,
+    _envelope_mhd_matrix,
+    _mhd_matrix,
     dist,
-    envelope_to_points,
     SvmModel,
     fit_svm_many,
     pairwise_distances,
@@ -70,6 +72,28 @@ def mhd_oracle(a, b):
     fwd = np.mean([min(np.linalg.norm(p - q) for q in b) for p in a])
     bwd = np.mean([min(np.linalg.norm(p - q) for q in a) for p in b])
     return max(fwd, bwd)
+
+
+def envelope_to_points(vec):
+    """Re-read a stacked envelope vector as 2N points (n/N, e(n)/scale)."""
+    vec = np.asarray(vec, float)
+    if vec.ndim != 1 or vec.size % 2:
+        raise ValueError("expected an even-length stacked envelope vector")
+    n = vec.size // 2
+    t = np.arange(n) / n
+    pts = np.empty((2 * n, 2))
+    pts[:n, 0] = t
+    pts[n:, 0] = t
+    pts[:, 1] = vec / ENVELOPE_SCALE_HZ
+    return pts
+
+
+def envelope_mhd_oracle(va, vb):
+    """The point-set MHD matrix kernel over the envelopes' point sets."""
+    return _mhd_matrix(
+        np.stack([envelope_to_points(v) for v in va]),
+        np.stack([envelope_to_points(v) for v in vb]),
+    )
 
 
 def fit_one(x, y, lam=1e-4, epochs=200, seed=0):
@@ -196,6 +220,7 @@ class TestDistValues:
         v = np.array([1.0, -2.0, 3.0, 0.5])
         for kind in VECTOR_KINDS:
             assert dist(v, v, kind) == 0.0
+        assert dist(v, v, "mhd") == 0.0
         pts = envelope_to_points(v)
         assert dist(pts, pts, "mhd") == 0.0
 
@@ -257,19 +282,29 @@ class TestMhdForms:
         np.testing.assert_allclose(fast, fast.T, atol=1e-12)
 
     def test_mirrored_matrix_equals_full_matrix(self):
-        # 37 sets: not a multiple of the block size, so the last block is short
+        # The envelope kernel computes each pair once when both sides are
+        # the same stack.  37 vectors with gated (zero) runs of every
+        # share, an all-zero and a zero-free one: the blocks of sets
+        # sorted by off-axis count come out uneven, the last one short.
         rng = np.random.default_rng(15)
-        sets = [rng.normal(size=(12, 2)) for _ in range(37)]
-        mirrored = pairwise_distances(sets, sets, "mhd")
-        full = pairwise_distances(sets, list(sets), "mhd")
+        v = rng.normal(scale=200.0, size=(37, 24))
+        v[rng.random(v.shape) < rng.random((37, 1))] = 0.0
+        v[3] = 0.0
+        v[4] = rng.normal(scale=200.0, size=24)
+        mirrored = pairwise_distances(v, v, "mhd")
+        full = pairwise_distances(v, v.copy(), "mhd")
         np.testing.assert_array_equal(mirrored, full)
+        np.testing.assert_array_equal(mirrored, mirrored.T)
+        np.testing.assert_array_equal(mirrored, envelope_mhd_oracle(v, v))
 
-        xa, xb = sets[:23], [rng.normal(size=(12, 2)) for _ in range(19)]
+        xa, xb = v[:23], rng.normal(scale=200.0, size=(19, 24)) * (rng.random((19, 24)) < 0.5)
         rect = pairwise_distances(xa, xb, "mhd")
         assert rect.shape == (23, 19)
+        np.testing.assert_array_equal(rect, envelope_mhd_oracle(xa, xb))
         for i in range(23):
             for j in range(19):
-                assert rect[i, j] == pytest.approx(mhd_oracle(xa[i], xb[j]), abs=1e-5)
+                want = mhd_oracle(envelope_to_points(xa[i]), envelope_to_points(xb[j]))
+                assert rect[i, j] == pytest.approx(want, abs=1e-5)
 
     def test_ragged_side_rejected(self):
         # Each side stacks into one array: set sizes may differ between
@@ -283,6 +318,66 @@ class TestMhdForms:
                 assert got[i, j] == pytest.approx(mhd_oracle(small[i], large[j]), abs=1e-5)
         with pytest.raises(ValueError):
             pairwise_distances(small + large, large, "mhd")
+
+
+@st.composite
+def envelope_stack_pairs(draw):
+    """Two stacks of envelope vectors of one even length, with random
+    zero masks: some vectors all zero, some free of zeros, and values
+    that are -0.0, that underflow to float32 0 once scaled (1e-44), or
+    that scale to a float32 subnormal (1e-40).  Stack sizes run past
+    the kernel's block sizes without being multiples of them."""
+    n2 = 2 * draw(st.integers(min_value=1, max_value=12))
+    specials = np.array([0.0, -0.0, 1e-44, -1e-44, 1e-40])
+
+    def stack():
+        m = draw(st.integers(min_value=1, max_value=40))
+        rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+        # coarse levels make equal distances (ties) common
+        v = rng.integers(-4, 5, size=(m, n2)) * draw(st.sampled_from([1.0, 16.0, 123.4]))
+        v += rng.normal(scale=draw(st.sampled_from([0.0, 1.0, 300.0])), size=(m, n2))
+        zero_share = rng.random((m, 1)) * draw(st.sampled_from([0.0, 0.5, 1.0]))
+        v[rng.random((m, n2)) < zero_share] = 0.0
+        odd = rng.random((m, n2)) < 0.1
+        v[odd] = rng.choice(specials, size=int(odd.sum()))
+        for row in draw(st.lists(st.integers(0, m - 1), max_size=3)):
+            v[row] = 0.0
+        return v
+
+    return stack(), stack()
+
+
+class TestEnvelopeMhdKernel:
+    """The envelope MHD matrix against the point-set kernel over
+    ``envelope_to_points`` stacks: equal bit for bit."""
+
+    def test_real_envelopes(self, envelope_set):
+        x, _ = envelope_set
+        assert 0.3 < (x == 0).mean() < 0.95
+        np.testing.assert_array_equal(pairwise_distances(x, x, "mhd"), envelope_mhd_oracle(x, x))
+        np.testing.assert_array_equal(
+            pairwise_distances(x[:23], x[9:], "mhd"), envelope_mhd_oracle(x[:23], x[9:])
+        )
+
+    @pytest.mark.prop
+    @settings(max_examples=60, deadline=None)
+    @given(envelope_stack_pairs(), st.integers(min_value=1, max_value=3))
+    def test_random_zero_masks(self, stacks, chunk):
+        va, vb = stacks
+        for a, b, same in ((va, va, True), (va, vb, False), (vb, va, False)):
+            got = _envelope_mhd_matrix(a, b, same=same, chunk=chunk)
+            np.testing.assert_array_equal(got, envelope_mhd_oracle(a, b))
+        np.testing.assert_array_equal(
+            pairwise_distances(va, vb, "mhd"), envelope_mhd_oracle(va, vb)
+        )
+
+    def test_odd_or_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError):
+            pairwise_distances(np.ones((3, 5)), np.ones((2, 5)), "mhd")
+        with pytest.raises(ValueError):
+            pairwise_distances(np.ones((3, 4)), np.ones((2, 6)), "mhd")
+        with pytest.raises(ValueError):
+            pairwise_distances(np.ones((3, 4)), [np.ones((2, 2))], "mhd")
 
 
 class TestEnvelopePoints:

@@ -48,6 +48,42 @@ class TestSimulate:
         ds = Dataset.load(out)
         assert all(r.config.snr_db == np.inf for r in ds.records)
 
+    def test_negative_infinite_snr_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "ds"
+        assert main(["simulate", "--out", str(out), "--per-class", "1", "--snr=-inf"]) == 2
+        assert "-inf" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestSeed:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--out", "{tmp}/ds", "--per-class", "1"],
+            ["spectrogram", "--in", "{iq}", "--out", "{tmp}/s.pgm"],
+            ["segment", "--in", "{iq}", "--out", "{tmp}/seg"],
+            ["envelope", "--in", "{iq}", "--out", "{tmp}/e.json"],
+            ["features", "--kind", "empirical", "--in", "{ds}", "--out", "{tmp}/f.csv"],
+            ["similarity", "--in", "{ds}", "--out", "{tmp}/s.csv"],
+            ["eval", "--in", "{ds}", "--trials", "1", "--out-json", "{tmp}/r.json"],
+            ["report", "--in", "{tmp}/r.json", "--out", "{tmp}/r.csv"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("how", ["option", "config"])
+    def test_negative_seed_is_config_error(self, argv, how, tiny_dataset_dir, tmp_path, capsys):
+        fill = dict(tmp=tmp_path, iq=first_iq(tiny_dataset_dir), ds=tiny_dataset_dir)
+        argv = [a.format(**fill) for a in argv]
+        if how == "option":
+            head = ["--seed", "-1"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"seed": -1}))
+            head = ["--config", str(cfg)]
+        assert main(head + argv) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == ([cfg] if how == "config" else [])
+
 
 class TestSpectrogram:
     def test_renders_image_and_matrix(self, tiny_dataset_dir, tmp_path):

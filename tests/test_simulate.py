@@ -193,6 +193,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="under-samples"):
             SimConfig(sample_rate_hz=800.0)
 
+    @pytest.mark.parametrize("snr_db", [np.nan, -np.inf])
+    def test_config_rejects_snr_without_a_noise_level(self, snr_db):
+        with pytest.raises(ValueError, match="SNR"):
+            SimConfig(snr_db=snr_db)
+
+    def test_positive_infinite_snr_means_no_noise(self):
+        cfg = SimConfig(duration_s=1.0, snr_db=np.inf)
+        rec = synthesize([constant_velocity_track(1.0, cfg)], cfg)
+        # one unit-amplitude scatterer and nothing else
+        np.testing.assert_allclose(np.abs(rec.samples), 1.0, rtol=1e-6)
+
     def test_label_letters_roundtrip(self):
         # Reports and CSVs name the classes a..f in label order.
         letters = "".join(lab.letter for lab in GestureLabel)
