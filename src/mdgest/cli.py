@@ -23,7 +23,12 @@ class DataError(Exception):
     pass
 
 
-def _load_record(path: Path) -> simulate.IQRecord:
+def _load_record(path: Path, sample_rate_hz: float) -> simulate.IQRecord:
+    min_rate = 2 * simulate.DOPPLER_BAND_HZ
+    if not (np.isfinite(sample_rate_hz) and sample_rate_hz >= min_rate):
+        raise ConfigError(
+            f"--sample-rate must be a finite rate of at least {min_rate:g} Hz, got {sample_rate_hz}"
+        )
     if not path.exists():
         raise DataError(f"no such IQ file: {path}")
     size = path.stat().st_size
@@ -34,7 +39,7 @@ def _load_record(path: Path) -> simulate.IQRecord:
     samples = np.fromfile(path, dtype="<c8")
     if not np.isfinite(samples).all():
         raise DataError(f"IQ file {path} holds non-finite samples")
-    return simulate.IQRecord(samples=samples, sample_rate_hz=12800.0, record_id=path.stem)
+    return simulate.IQRecord(samples=samples, sample_rate_hz=sample_rate_hz, record_id=path.stem)
 
 
 def _load_dataset(path: str) -> simulate.Dataset:
@@ -124,7 +129,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_spectrogram(args) -> int:
-    rec = _load_record(Path(args.infile))
+    rec = _load_record(Path(args.infile), args.sample_rate)
     try:
         spec = tfr.spectrogram(rec)
     except ValueError as e:
@@ -139,7 +144,7 @@ def _cmd_spectrogram(args) -> int:
 
 
 def _cmd_segment(args) -> int:
-    rec = _load_record(Path(args.infile))
+    rec = _load_record(Path(args.infile), args.sample_rate)
     try:
         intervals = segmentation.segment_record(rec)
     except ValueError as e:
@@ -158,7 +163,7 @@ def _cmd_segment(args) -> int:
 
 
 def _cmd_envelope(args) -> int:
-    rec = _load_record(Path(args.infile))
+    rec = _load_record(Path(args.infile), args.sample_rate)
     pipe = harness.PipelineConfig()
     try:
         spec = tfr.spectrogram(rec, pipe.stft, pipe.band_hz)
@@ -254,6 +259,11 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _add_iq_input(q: argparse.ArgumentParser):
+    q.add_argument("--in", dest="infile", required=True, help="raw complex64 IQ file")
+    q.add_argument("--sample-rate", type=float, default=12800.0, help="IQ sample rate, Hz")
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="mdg", description=__doc__)
     p.add_argument("--seed", type=int, default=0, help="base seed for all randomness")
@@ -268,19 +278,19 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(fn=_cmd_simulate)
 
     q = sub.add_parser("spectrogram", help="render a spectrogram image / matrix")
-    q.add_argument("--in", dest="infile", required=True)
+    _add_iq_input(q)
     q.add_argument("--out", default=None, help="PGM image path")
     q.add_argument("--matrix", default=None, help="CSV matrix path")
     q.add_argument("--dyn-range", type=float, default=50.0)
     q.set_defaults(fn=_cmd_spectrogram)
 
     q = sub.add_parser("segment", help="detect motion intervals and cut windows")
-    q.add_argument("--in", dest="infile", required=True)
+    _add_iq_input(q)
     q.add_argument("--out", required=True)
     q.set_defaults(fn=_cmd_segment)
 
     q = sub.add_parser("envelope", help="extract the envelope pair")
-    q.add_argument("--in", dest="infile", required=True)
+    _add_iq_input(q)
     q.add_argument("--out", required=True, help="JSON output path")
     q.add_argument("--overlay", default=None, help="PGM overlay path")
     q.set_defaults(fn=_cmd_envelope)

@@ -115,31 +115,58 @@ class SimConfig:
         return 10.0 ** (-0.15 * abs(self.angle_deg) / 10.0)
 
 
-@dataclass
+def _true_span(mask: np.ndarray) -> tuple[int, int] | None:
+    """[first, last + 1) of the True entries of a 1-D mask, or None."""
+    i0 = mask.argmax()
+    if not mask[i0]:
+        return None
+    return i0, mask.size - mask[::-1].argmax()
+
+
+@dataclass(frozen=True)
 class ScattererTrack:
-    """Radial range history of one point scatterer."""
+    """Radial range history of one point scatterer.
+
+    One pass over the steps of the ranges checks the speed cap and finds
+    where the track moves.  ``moving`` is the span [lo, hi) of samples
+    outside which the range equals its first value (before) or its last
+    (after), (n, n) for a constant track.  ``active`` is the span [i0, i1)
+    of steps whose speed reaches ``MOTION_SPEED_MS``, or None.  The track
+    keeps a read-only copy of the ranges, so neither span can go stale.
+    """
 
     ranges_m: np.ndarray
     amplitude: float
     sample_rate_hz: float
+    moving: tuple[int, int] = field(init=False, repr=False)
+    active: tuple[int, int] | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.ranges_m = np.asarray(self.ranges_m, dtype=float)
-        if self.ranges_m.ndim != 1 or self.ranges_m.size < 2:
+        r = np.array(self.ranges_m, dtype=float)
+        if r.ndim != 1 or r.size < 2:
             raise ValueError("track needs a 1-D range history")
         if self.amplitude < 0:
             raise ValueError("amplitude must be non-negative")
-        if np.any(self.ranges_m <= 0):
+        if np.any(r <= 0):
             raise ValueError("range must stay positive")
-        v = np.abs(np.diff(self.ranges_m)) * self.sample_rate_hz
-        if v.size and v.max() > MAX_RADIAL_SPEED_MS * (1 + 1e-9):
-            raise ValueError(
-                f"radial speed {v.max():.3f} m/s exceeds {MAX_RADIAL_SPEED_MS} m/s"
-            )
-
-    @property
-    def radial_speed_ms(self) -> np.ndarray:
-        return np.diff(self.ranges_m) * self.sample_rate_hz
+        r.flags.writeable = False
+        step = np.diff(r)
+        changed = _true_span(step != 0)
+        moving, active = (r.size, r.size), None
+        if changed is not None:
+            lo, hi = changed
+            v = np.abs(step[lo:hi]) * self.sample_rate_hz
+            if v.max() > MAX_RADIAL_SPEED_MS * (1 + 1e-9):
+                raise ValueError(
+                    f"radial speed {v.max():.3f} m/s exceeds {MAX_RADIAL_SPEED_MS} m/s"
+                )
+            hot = _true_span(v >= MOTION_SPEED_MS)
+            if hot is not None:
+                active = (lo + hot[0], lo + hot[1])
+            moving = (lo + 1, hi)
+        object.__setattr__(self, "ranges_m", r)
+        object.__setattr__(self, "moving", moving)
+        object.__setattr__(self, "active", active)
 
 
 @dataclass
@@ -200,10 +227,16 @@ _START_JITTER_S = 0.3
 _EDGE_MARGIN_S = 0.1
 
 
-def _raised_cosine(t: np.ndarray, t0: float, dur: float) -> np.ndarray:
-    """Smooth 0 -> 1 ramp over [t0, t0 + dur]; flat outside."""
-    u = np.clip((t - t0) / dur, 0.0, 1.0)
-    return 0.5 * (1.0 - np.cos(np.pi * u))
+def _raised_cosine(t: np.ndarray, t0: float, dur: float) -> tuple[int, int, np.ndarray]:
+    """Smooth 0 -> 1 ramp over [t0, t0 + dur], flat outside.
+
+    Returns ``(lo, hi, ramp)``: the ramp's values on its open support
+    ``t[lo:hi]``, where 0 < (t - t0) / dur < 1.  Clipped to [0, 1], the
+    ramp is exactly 0.0 before ``lo`` and exactly 1.0 from ``hi`` on.
+    """
+    u = (t - t0) / dur
+    lo, hi = np.searchsorted(u, 0.0, side="right"), np.searchsorted(u, 1.0, side="left")
+    return lo, hi, 0.5 * (1.0 - np.cos(np.pi * u[lo:hi]))
 
 
 def gesture_tracks(label: GestureLabel, cfg: SimConfig) -> list[ScattererTrack]:
@@ -239,7 +272,16 @@ def gesture_tracks(label: GestureLabel, cfg: SimConfig) -> list[ScattererTrack]:
     arm_gain = rng.uniform(0.93, 1.07, size=2)
     arm_shift = rng.uniform(-0.02, 0.02)
 
+    # Every arm track shares the stroke onsets, so each stroke's ramp is
+    # computed once.  A track adds nothing before the ramp's support and
+    # the stroke's full extent after it.
     t = np.arange(cfg.n_samples) / cfg.sample_rate_hz
+    ramps = []
+    t0 = start + arm_shift
+    for gap, dur, _ in strokes:
+        t0 += gap
+        ramps.append(_raised_cosine(t, t0, dur))
+        t0 += dur
     tracks = []
     for arm in range(2):
         mirrored = label in _MIRRORED
@@ -248,11 +290,10 @@ def gesture_tracks(label: GestureLabel, cfg: SimConfig) -> list[ScattererTrack]:
         arm_range = _REST_RANGE_M + (0.0 if arm == 0 else _OFF_ARM_RANGE_M)
         for scale, weight, offset in _ARM_SCATTERERS:
             r = np.full(cfg.n_samples, arm_range + offset)
-            t0 = start + arm_shift
-            for gap, dur, delta in strokes:
-                t0 += gap
-                r += sign * delta * scale * arm_gain[arm] * _raised_cosine(t, t0, dur)
-                t0 += dur
+            for (_, _, delta), (lo, hi, ramp) in zip(strokes, ramps):
+                extent = sign * delta * scale * arm_gain[arm]
+                r[lo:hi] += extent * ramp
+                r[hi:] += extent
             tracks.append(
                 ScattererTrack(r, weight * arm_weight * cfg.angle_gain, cfg.sample_rate_hz)
             )
@@ -269,13 +310,13 @@ def active_interval(
     The bounds are the first and last instants where some track's radial
     speed is non-negligible, i.e. the support of the gesture strokes.
     """
-    hot = np.zeros(cfg.n_samples - 1, dtype=bool)
-    for tr in tracks:
-        hot |= np.abs(tr.radial_speed_ms) >= MOTION_SPEED_MS
-    idx = np.flatnonzero(hot)
-    if idx.size == 0:
+    if any(len(tr.ranges_m) != cfg.n_samples for tr in tracks):
+        raise ValueError("track/segment length mismatch")
+    spans = [tr.active for tr in tracks if tr.active is not None]
+    if not spans:
         return None
-    return idx[0] / cfg.sample_rate_hz, (idx[-1] + 1) / cfg.sample_rate_hz
+    fs = cfg.sample_rate_hz
+    return min(i0 for i0, _ in spans) / fs, max(i1 for _, i1 in spans) / fs
 
 
 def synthesize(
@@ -290,18 +331,20 @@ def synthesize(
     The noise draw comes from its own sub-stream of ``cfg.seed``, so the
     kinematics of a record do not change when only the SNR does.
     """
+    active = active_interval(tracks, cfg)
     n = cfg.n_samples
-    for tr in tracks:
-        if len(tr.ranges_m) != n:
-            raise ValueError("track/segment length mismatch")
-
     signal = np.zeros(n, dtype=complex)
     k = 4.0 * np.pi / cfg.wavelength_m
     for tr in tracks:
         if tr.amplitude > 0:
-            signal += tr.amplitude * np.exp(-1j * k * tr.ranges_m)
+            # Constant before and after its moving span, a return takes
+            # one value over each of those.
+            lo, hi = tr.moving
+            head, tail = tr.amplitude * np.exp(-1j * k * tr.ranges_m[[0, -1]])
+            signal[:lo] += head
+            signal[lo:hi] += tr.amplitude * np.exp(-1j * k * tr.ranges_m[lo:hi])
+            signal[hi:] += tail
 
-    active = active_interval(tracks, cfg)
     if active is None:
         sl = slice(0, n)
     else:

@@ -262,6 +262,62 @@ class TestIqBoundary:
             assert [p.name for p in Path(tmp).iterdir()] == ["bad.iq"]
 
 
+class TestSampleRate:
+    @pytest.mark.prop
+    @settings(max_examples=30, deadline=None)
+    @given(
+        command=st.sampled_from(sorted(TestIqBoundary.OUTPUTS)),
+        rate=st.one_of(
+            st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 999.9999]),
+            st.floats(max_value=999.9999, allow_nan=False, allow_infinity=False),
+        ),
+    )
+    def test_bad_rate_is_config_error_with_no_output(self, tiny_dataset_dir, command, rate):
+        with tempfile.TemporaryDirectory() as tmp:
+            src = Path(tmp) / "rec.iq"
+            shutil.copyfile(first_iq(tiny_dataset_dir), src)
+            outputs = TestIqBoundary.OUTPUTS[command]
+            args = [a if a.startswith("--") else str(Path(tmp) / a) for a in outputs]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                rc = main([command, "--in", str(src), f"--sample-rate={rate!r}", *args])
+            assert rc == 2, command
+            assert "--sample-rate" in stderr.getvalue()
+            assert stdout.getvalue() == ""
+            assert [p.name for p in Path(tmp).iterdir()] == ["rec.iq"]
+
+    def test_rate_sets_the_traces_of_a_faster_record(self, tmp_path):
+        """A 25.6 kHz record read at its own rate gives the traces that
+        extraction gives the record; read at the 12.8 kHz default, every
+        time and Doppler frequency halves."""
+        from mdgest.simulate import GestureLabel, simulate_record
+        from mdgest.segmentation import segment_record
+
+        rec = simulate_record(GestureLabel.PUSH_PULL, SimConfig(sample_rate_hz=25600.0, seed=8))
+        path = tmp_path / "fast.iq"
+        rec.samples.astype("<c8").tofile(path)
+        runs = {}
+        for rate in ("25600", None):
+            out = tmp_path / f"env{rate}.json"
+            segs = tmp_path / f"segs{rate}"
+            extra = ["--sample-rate", rate] if rate else []
+            assert main(["envelope", "--in", str(path), "--out", str(out), *extra]) == 0
+            assert main(["segment", "--in", str(path), "--out", str(segs), *extra]) == 0
+            runs[rate] = (json.loads(out.read_text()), json.loads((segs / "segments.json").read_text()))
+        (env, segs), (slow_env, slow_segs) = runs["25600"], runs[None]
+        pipe = PipelineConfig()
+        want = extract(tfr.spectrogram(rec, pipe.stft, pipe.band_hz), pipe.env)
+        assert env["upper_hz"] == want.upper_hz.tolist()
+        assert env["lower_hz"] == want.lower_hz.tolist()
+        assert env["time_s"] == want.time_s.tolist()
+        np.testing.assert_allclose(slow_env["time_s"], 2 * np.array(env["time_s"]))
+        assert slow_env["upper_hz"] != env["upper_hz"]
+        assert max(slow_env["upper_hz"]) < 0.75 * max(env["upper_hz"])
+        want_iv = segment_record(rec)
+        assert [s["start_s"] for s in segs["segments"]] == [iv.start_s for iv in want_iv]
+        assert slow_segs["segments"][0]["start_s"] == pytest.approx(2 * segs["segments"][0]["start_s"], rel=0.05)
+
+
 @pytest.fixture(scope="module")
 def short_dataset_dir(tmp_path_factory):
     """Records of 0.1 s: 1280 samples, fewer than the 2048-sample STFT window."""

@@ -1,13 +1,18 @@
 """Simulator checks: Doppler physics, SNR calibration, dataset plumbing."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from mdgest import simulate as sim
 from mdgest.simulate import (
     DOPPLER_BAND_HZ,
     MAX_RADIAL_SPEED_MS,
+    MOTION_SPEED_MS,
+    SPEED_MODES,
     Dataset,
     GestureLabel,
     IQRecord,
@@ -27,6 +32,223 @@ FS = 12800.0
 def constant_velocity_track(v_ms, cfg, r0=3.0, amplitude=1.0):
     t = np.arange(cfg.n_samples) / cfg.sample_rate_hz
     return ScattererTrack(r0 + v_ms * t, amplitude, cfg.sample_rate_hz)
+
+
+def raised_cosine_oracle(t, t0, dur):
+    """The stroke ramp over every sample, clipped to [0, 1] before the cosine."""
+    u = np.clip((t - t0) / dur, 0.0, 1.0)
+    return 0.5 * (1.0 - np.cos(np.pi * u))
+
+
+def gesture_tracks_oracle(label, cfg):
+    """(ranges, amplitude) per track, one full-length ramp per track and stroke.
+
+    The same draws as ``gesture_tracks``, with every ramp recomputed for
+    every track over all samples and added to the whole range history.
+    """
+    label = GestureLabel(label)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, 0])))
+    stretch = sim._SLOW_STRETCH if cfg.speed == "slow" else 1.0
+    tempo = stretch * rng.uniform(0.93, 1.07)
+    size = rng.uniform(0.92, 1.08)
+    strokes = [
+        (
+            gap * tempo * rng.uniform(0.98, 1.02),
+            dur * tempo * rng.uniform(0.98, 1.02),
+            delta * size * rng.uniform(0.98, 1.02),
+        )
+        for gap, dur, delta in sim._HAND_STROKES[label]
+    ]
+    span = sum(g + d for g, d, _ in strokes)
+    start_lo = sim._EDGE_MARGIN_S
+    start_hi = max(cfg.duration_s - span - sim._EDGE_MARGIN_S, start_lo)
+    start = np.clip(
+        (cfg.duration_s - span) / 2 + rng.uniform(-sim._START_JITTER_S, sim._START_JITTER_S),
+        start_lo,
+        start_hi,
+    )
+    arm_gain = rng.uniform(0.93, 1.07, size=2)
+    arm_shift = rng.uniform(-0.02, 0.02)
+
+    t = np.arange(cfg.n_samples) / cfg.sample_rate_hz
+    tracks = []
+    for arm in range(2):
+        mirrored = label in sim._MIRRORED
+        sign = -1.0 if arm == 1 and mirrored else 1.0
+        arm_weight = 1.0 if arm == 0 or mirrored else sim._OFF_ARM_WEIGHT
+        arm_range = sim._REST_RANGE_M + (0.0 if arm == 0 else sim._OFF_ARM_RANGE_M)
+        for scale, weight, offset in sim._ARM_SCATTERERS:
+            r = np.full(cfg.n_samples, arm_range + offset)
+            t0 = start + arm_shift
+            for gap, dur, delta in strokes:
+                t0 += gap
+                r += sign * delta * scale * arm_gain[arm] * raised_cosine_oracle(t, t0, dur)
+                t0 += dur
+            tracks.append((r, weight * arm_weight * cfg.angle_gain))
+    tracks.append((np.full(cfg.n_samples, sim._TORSO_RANGE_M), sim._TORSO_AMPLITUDE * cfg.angle_gain))
+    return tracks
+
+
+def active_interval_oracle(tracks, cfg):
+    """The motion span from every track's full speed history."""
+    hot = np.zeros(cfg.n_samples - 1, dtype=bool)
+    for tr in tracks:
+        hot |= np.abs(np.diff(tr.ranges_m) * tr.sample_rate_hz) >= MOTION_SPEED_MS
+    idx = np.flatnonzero(hot)
+    if idx.size == 0:
+        return None
+    return idx[0] / cfg.sample_rate_hz, (idx[-1] + 1) / cfg.sample_rate_hz
+
+
+def synthesize_oracle(tracks, cfg):
+    """(samples, active_s) with every return's exp taken over all samples."""
+    n = cfg.n_samples
+    signal = np.zeros(n, dtype=complex)
+    k = 4.0 * np.pi / cfg.wavelength_m
+    for tr in tracks:
+        if tr.amplitude > 0:
+            signal += tr.amplitude * np.exp(-1j * k * tr.ranges_m)
+    active = active_interval_oracle(tracks, cfg)
+    if active is None:
+        sl = slice(0, n)
+    else:
+        sl = slice(int(active[0] * cfg.sample_rate_hz), int(active[1] * cfg.sample_rate_hz))
+    p_signal = float(np.mean(np.abs(signal[sl]) ** 2))
+    if p_signal == 0.0:
+        variance = cfg.noise_floor
+    elif np.isinf(cfg.snr_db):
+        variance = 0.0
+    else:
+        variance = p_signal / 10.0 ** (cfg.snr_db / 10.0)
+    if variance > 0.0:
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, 1])))
+        w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        spec = np.fft.fft(w)
+        spec[np.abs(np.fft.fftfreq(n, d=1.0 / cfg.sample_rate_hz)) > DOPPLER_BAND_HZ] = 0.0
+        w = np.fft.ifft(spec)
+        w *= np.sqrt(variance / np.mean(np.abs(w) ** 2))
+        signal = signal + w
+    return signal.astype(np.complex64), active
+
+
+def assert_same_record(rec, oracle):
+    samples, active = oracle
+    assert rec.samples.dtype == samples.dtype
+    assert np.array_equal(rec.samples, samples)
+    assert rec.active_s == active
+    if active is not None:
+        assert [type(a) for a in rec.active_s] == [type(a) for a in active]
+
+
+class TestSynthesisOracles:
+    """Shared ramps and closed-form constant spans keep every bit."""
+
+    @pytest.mark.prop
+    @settings(max_examples=30, deadline=None)
+    @given(
+        label=st.sampled_from(list(GestureLabel)),
+        angle=st.sampled_from(sorted({c.angle_deg for c in default_grid()})),
+        speed=st.sampled_from(SPEED_MODES),
+        seed=st.integers(0, 2**31 - 1),
+        snr_db=st.sampled_from([10.0, 0.0, np.inf]),
+    )
+    @example(label=GestureLabel.CROSS_OPEN, angle=-20.0, speed="slow", seed=0, snr_db=10.0)
+    @example(label=GestureLabel.ROLL, angle=20.0, speed="normal", seed=2**31 - 1, snr_db=np.inf)
+    def test_records_equal_the_oracles(self, label, angle, speed, seed, snr_db):
+        cfg = SimConfig(angle_deg=angle, speed=speed, seed=seed, snr_db=snr_db)
+        tracks = gesture_tracks(label, cfg)
+        expected = gesture_tracks_oracle(label, cfg)
+        assert len(tracks) == len(expected)
+        for tr, (ranges, amplitude) in zip(tracks, expected):
+            assert np.array_equal(tr.ranges_m, ranges)
+            assert tr.amplitude == amplitude
+        assert_same_record(synthesize(tracks, cfg), synthesize_oracle(tracks, cfg))
+
+    # A stroke whose closing sample t_i lies at or past fl(t0 + dur) while
+    # fl((t_i - t0) / dur) is still just below 1.
+    CLOSING = (0.5873150982241826, 0.3648724017758174)
+
+    @pytest.mark.parametrize(
+        "t0, dur", [CLOSING, (0.0, 0.25), (-0.1, 0.3), (0.7, 0.5), (1.5, 0.2), (0.31, 1e-5)]
+    )
+    def test_ramp_support_and_values(self, t0, dur):
+        t = np.arange(12800) / FS
+        lo, hi, ramp = sim._raised_cosine(t, t0, dur)
+        u = (t - t0) / dur
+        inside = np.flatnonzero((u > 0.0) & (u < 1.0))
+        assert (lo, hi) == ((inside[0], inside[-1] + 1) if inside.size else (lo, lo))
+        full = np.concatenate([np.zeros(lo), ramp, np.ones(t.size - hi)])
+        assert np.array_equal(full, raised_cosine_oracle(t, t0, dur))
+
+    def test_closing_sample_is_inside_the_support(self):
+        t = np.arange(12800) / FS
+        t0, dur = self.CLOSING
+        lo, hi, _ = sim._raised_cosine(t, t0, dur)
+        assert t[hi - 1] >= t0 + dur and (t[hi - 1] - t0) / dur < 1.0
+        assert np.searchsorted(t, t0 + dur) == hi - 1
+
+    STEP = 1e-4  # 1.28 m/s between samples at 12.8 kHz
+    N = 12800
+
+    @staticmethod
+    def crafted(kind, n=N, step=STEP):
+        r = np.full(n, 3.0)
+        if kind == "moves at sample 0":
+            r[0] -= step
+        elif kind == "moves at the last sample":
+            r[-1] += step
+        elif kind == "moves at one sample":
+            r[n // 3] += step
+        elif kind == "unequal head and tail":
+            r[n // 4 : n // 2] += np.linspace(0.0, 0.05, n // 2 - n // 4)
+            r[n // 2 :] += 0.05
+        return r
+
+    MOVING = {
+        "moves at sample 0": (1, 1),
+        "moves at the last sample": (N - 1, N - 1),
+        "moves at one sample": (N // 3, N // 3 + 1),
+        "all constant": (N, N),
+        "unequal head and tail": (N // 4 + 1, N // 2 - 1),
+    }
+
+    @pytest.mark.parametrize("kind", list(MOVING))
+    @pytest.mark.parametrize("snr_db", [10.0, np.inf])
+    def test_crafted_track(self, kind, snr_db):
+        cfg = SimConfig(duration_s=1.0, snr_db=snr_db, seed=21)
+        tr = ScattererTrack(self.crafted(kind), 0.9, FS)
+        assert tuple(tr.moving) == self.MOVING[kind]
+        assert_same_record(synthesize([tr], cfg), synthesize_oracle([tr], cfg))
+
+    @pytest.mark.parametrize("snr_db", [10.0, np.inf])
+    def test_crafted_tracks_together(self, snr_db):
+        cfg = SimConfig(duration_s=1.0, snr_db=snr_db, seed=22)
+        tracks = [ScattererTrack(self.crafted(kind), 0.2 + 0.1 * i, FS) for i, kind in enumerate(self.MOVING)]
+        # a zero-amplitude return still moves, so it still bounds the active span
+        silent = np.full(self.N, 3.2)
+        silent[100:200] += np.linspace(0.0, 0.01, 100)
+        silent[200:] += 0.01
+        tracks.append(ScattererTrack(silent, 0.0, FS))
+        rec = synthesize(tracks, cfg)
+        assert rec.active_s[0] == 0.0
+        assert_same_record(rec, synthesize_oracle(tracks, cfg))
+
+    def test_zero_amplitude_track_alone(self):
+        cfg = SimConfig(duration_s=1.0, seed=23)
+        tr = ScattererTrack(self.crafted("unequal head and tail"), 0.0, FS)
+        rec = synthesize([tr], cfg)
+        assert rec.active_s is not None
+        assert_same_record(rec, synthesize_oracle([tr], cfg))
+
+    def test_track_holds_a_frozen_copy(self):
+        r = self.crafted("unequal head and tail")
+        tr = ScattererTrack(r, 1.0, FS)
+        r[:] = 3.3
+        assert tr.ranges_m[0] == 3.0 and tr.ranges_m[-1] == 3.05
+        with pytest.raises(ValueError, match="read-only"):
+            tr.ranges_m[0] = 3.3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tr.ranges_m = r
 
 
 class TestDopplerPhysics:
@@ -121,7 +343,7 @@ class TestKinematicEnvelope:
             for speed in ("normal", "slow"):
                 cfg = SimConfig(seed=seed, speed=speed)
                 for tr in gesture_tracks(label, cfg):
-                    v = np.abs(tr.radial_speed_ms)
+                    v = np.abs(np.diff(tr.ranges_m)) * tr.sample_rate_hz
                     assert v.max() <= MAX_RADIAL_SPEED_MS
                     assert tr.ranges_m.min() > 0
 
