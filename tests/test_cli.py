@@ -15,7 +15,15 @@ from mdgest import tfr
 from mdgest.cli import main
 from mdgest.envelope import extract
 from mdgest.harness import PipelineConfig
-from mdgest.simulate import Dataset, IQRecord, SimConfig, generate_dataset
+from mdgest.segmentation import segment_record
+from mdgest.simulate import (
+    Dataset,
+    GestureLabel,
+    IQRecord,
+    SimConfig,
+    generate_dataset,
+    simulate_record,
+)
 
 
 def first_iq(tiny_dataset_dir):
@@ -290,9 +298,6 @@ class TestSampleRate:
         """A 25.6 kHz record read at its own rate gives the traces that
         extraction gives the record; read at the 12.8 kHz default, every
         time and Doppler frequency halves."""
-        from mdgest.simulate import GestureLabel, simulate_record
-        from mdgest.segmentation import segment_record
-
         rec = simulate_record(GestureLabel.PUSH_PULL, SimConfig(sample_rate_hz=25600.0, seed=8))
         path = tmp_path / "fast.iq"
         rec.samples.astype("<c8").tofile(path)
