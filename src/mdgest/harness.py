@@ -140,8 +140,7 @@ def _record_features(record, pipe: PipelineConfig, kinds: tuple[str, ...]) -> di
     if recenter or "empirical" in kinds:
         burst = segmentation.bursts(spec, pipe.pbc)[1]
     if recenter and burst is not None:
-        record = segmentation.window(record, burst, record.duration_s)
-        spec = tfr.spectrogram(record, pipe.stft, pipe.band_hz)
+        record, spec = segmentation.recentre(record, spec, burst, pipe.stft, pipe.band_hz)
         if "empirical" in kinds:
             burst = segmentation.bursts(spec, pipe.pbc)[1]
 
@@ -210,24 +209,38 @@ def extract_features(
     for k in kinds:
         if k not in FEATURE_KINDS:
             raise ValueError(f"unknown feature kind: {k!r}")
+    if not records:
+        raise ValueError("no records to extract features from")
     labels = np.array([int(r.label) for r in records])
 
-    per_record: list[dict] = [None] * len(records)
+    # Each vector kind's rows land in one table as results arrive, so no
+    # per-record copies outlive the loop; trajectories stay objects.
+    rows: dict[str, np.ndarray] = {}
+    trajs: list = [None] * len(records)
+
+    def take(i: int, res: dict) -> None:
+        for k, v in res.items():
+            if k == "trajectory":
+                trajs[i] = v
+                continue
+            if k not in rows:
+                rows[k] = np.empty((len(records), len(v)), dtype=v.dtype)
+            rows[k][i] = v
+
     if jobs > 1 and len(records) > 1:
         ctx = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(
             max_workers=jobs, mp_context=ctx, initializer=_pool_init, initargs=(records, pipe, kinds)
         ) as ex:
             for i, res in ex.map(_pool_worker, range(len(records)), chunksize=8):
-                per_record[i] = res
+                take(i, res)
     else:
         for i, rec in enumerate(records):
-            per_record[i] = _record_features(rec, pipe, kinds)
+            take(i, _record_features(rec, pipe, kinds))
 
     tables: dict[str, FeatureTable] = {}
     for k in kinds:
         if k == "trajectory":
-            trajs = [pr[k] for pr in per_record]
             tables[k] = FeatureTable(
                 kind=k,
                 labels=labels,
@@ -236,9 +249,7 @@ def extract_features(
                 trajectories=trajs,
             )
         else:
-            tables[k] = FeatureTable(
-                kind=k, labels=labels, vectors=np.stack([pr[k] for pr in per_record])
-            )
+            tables[k] = FeatureTable(kind=k, labels=labels, vectors=rows[k])
     return tables
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tfr
 from .simulate import IQRecord
 from .tfr import Spectrogram, StftConfig, spectrogram
 
@@ -159,6 +160,12 @@ def segment_record(
     return bursts(spectrogram(record, stft_cfg, pbc_cfg.band_hz), pbc_cfg)[0]
 
 
+def cut_span(record: IQRecord, interval: MotionInterval, duration_s: float) -> tuple[int, int]:
+    """First record sample and sample count of the slice ``window`` cuts."""
+    n_out = int(round(duration_s * record.sample_rate_hz))
+    return int(round(interval.mid_s * record.sample_rate_hz - n_out / 2)), n_out
+
+
 def window(record: IQRecord, interval: MotionInterval, duration_s: float = 5.0) -> IQRecord:
     """Cut a fixed-length slice centered on the interval midpoint.
 
@@ -170,8 +177,7 @@ def window(record: IQRecord, interval: MotionInterval, duration_s: float = 5.0) 
     rec_dur = n_total / record.sample_rate_hz
     if interval.end_s <= 0 or interval.start_s >= rec_dur:
         raise ValueError("interval lies outside the record")
-    n_out = int(round(duration_s * record.sample_rate_hz))
-    start = int(round(interval.mid_s * record.sample_rate_hz - n_out / 2))
+    start, n_out = cut_span(record, interval, duration_s)
     out = np.zeros(n_out, dtype=record.samples.dtype)
     src_lo = max(start, 0)
     src_hi = min(start + n_out, n_total)
@@ -192,3 +198,40 @@ def window(record: IQRecord, interval: MotionInterval, duration_s: float = 5.0) 
         active_s=active,
         record_id=record.record_id,
     )
+
+
+def recentre(
+    record: IQRecord,
+    spec: Spectrogram,
+    interval: MotionInterval,
+    cfg: StftConfig = StftConfig(),
+    band_hz: float | None = None,
+) -> tuple[IQRecord, Spectrogram]:
+    """``window`` over the record's own duration, and its spectrogram.
+
+    ``spec`` must be ``spectrogram(record, cfg, band_hz)``.  When the cut
+    starts on the hop grid, start = k * hop, cut column j reads the
+    frame of record column j + k: a frame inside the record takes that
+    column as it is, a frame wholly in the zero padding has zero power,
+    and only the frames across the record's edge are transformed (the
+    hop-shift identity of the short-time transform).  Off the grid the
+    cut takes a full STFT.  Either way the result has the bits of
+    ``spectrogram(cut, cfg, band_hz)``.
+    """
+    cut = window(record, interval, record.duration_s)
+    start, _ = cut_span(record, interval, record.duration_s)
+    if start % cfg.hop:
+        return cut, tfr.spectrogram(cut, cfg, band_hz)
+    k, n, hop = start // cfg.hop, spec.n_cols, cfg.hop
+    cols = np.zeros_like(spec.power.T)  # (columns x rows), as stft_power lays it out
+    lo, hi = max(-k, 0), min(n - k, n)  # cut columns whose frame lies inside the record
+    if lo < hi:
+        cols[lo:hi] = spec.power.T[lo + k : hi + k]
+    first = start + hop * np.arange(n)  # each cut frame's first record sample
+    edge = np.flatnonzero((first + cfg.window_len > 0) & (first < len(record.samples)))
+    edge = edge[(edge < lo) | (edge >= hi)]  # one run, on the side the cut pads
+    if edge.size:
+        a, b = int(edge[0]), int(edge[-1]) + 1
+        x = cut.samples[a * hop : (b - 1) * hop + cfg.window_len]
+        cols[a:b] = tfr.stft_power(x, record.sample_rate_hz, cfg, band_hz).power.T
+    return cut, Spectrogram(cols.T, spec.time_s, spec.freq_hz)

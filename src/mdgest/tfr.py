@@ -17,7 +17,8 @@ import scipy.fft
 
 from .simulate import IQRecord
 
-# Columns per FFT call: a (64, 4096) complex64 block is 2 MB.
+# Columns per FFT call: a (64, 4096) complex64 block is 2 MB, allocated
+# once per call and reused by every block.
 _BLOCK_COLS = 64
 
 
@@ -89,9 +90,17 @@ def stft_power(
         freq, bins = freq[lo : hi + 1], bins[lo : hi + 1]
     frames = np.lib.stride_tricks.sliding_window_view(x, cfg.window_len)[:: cfg.hop]
     n_cols = len(frames)
+    # One zero-tailed block buffer for every FFT call, in the dtype that
+    # scipy.fft would convert ``x`` to: a complex buffer for real input
+    # would take the c2c path, not r2c, and change the bits.
+    dtype = np.result_type(x.dtype, np.float32) if x.dtype.kind in "fc" else np.float64
+    buf = np.empty((min(n_cols, _BLOCK_COLS), cfg.fft_size), dtype=dtype)
     power = None
     for c0 in range(0, n_cols, _BLOCK_COLS):
-        spec = scipy.fft.fft(frames[c0 : c0 + _BLOCK_COLS], n=cfg.fft_size, axis=1)
+        block = buf[: min(_BLOCK_COLS, n_cols - c0)]
+        block[:, : cfg.window_len] = frames[c0 : c0 + len(block)]
+        block[:, cfg.window_len :] = 0  # a complex block is transformed in place
+        spec = scipy.fft.fft(block, axis=1, overwrite_x=True)
         mag = np.abs(spec[:, bins])
         if power is None:
             power = np.empty((n_cols, len(bins)), dtype=mag.dtype)

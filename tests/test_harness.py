@@ -218,16 +218,57 @@ class TestExtractFeatures:
             table.pointsets[0], table.trajectories[0].normalized_tf()
         )
 
-    def count_spectrograms(self, monkeypatch):
-        calls = []
-        real = tfr.spectrogram
+    def count_transforms(self, monkeypatch):
+        """Every ``tfr.stft_power`` call as (kind, columns): "full" when it
+        runs inside ``tfr.spectrogram``, "edge" when it runs alone."""
+        calls, inside = [], []
+        real_spectrogram, real_stft = tfr.spectrogram, tfr.stft_power
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def spectrogram(*args, **kwargs):
+            inside.append(1)
+            try:
+                return real_spectrogram(*args, **kwargs)
+            finally:
+                inside.pop()
 
-        monkeypatch.setattr(tfr, "spectrogram", counted)
+        def stft_power(*args, **kwargs):
+            spec = real_stft(*args, **kwargs)
+            calls.append(("full" if inside else "edge", spec.n_cols))
+            return spec
+
+        monkeypatch.setattr(tfr, "spectrogram", spectrogram)
+        monkeypatch.setattr(tfr, "stft_power", stft_power)
         return calls
+
+    @staticmethod
+    def cut_start(record, pipe):
+        """The first sample of the recentring cut, or None without a burst."""
+        spec = tfr.spectrogram(record, pipe.stft, pipe.band_hz)
+        burst = segmentation.bursts(spec, pipe.pbc)[1]
+        if burst is None:
+            return None
+        return segmentation.cut_span(record, burst, record.duration_s)[0]
+
+    def expected_transforms(self, record, pipe):
+        """One full STFT; recentring a burst adds a second full one off the hop
+        grid, and on it a transform of the frames across the record's
+        edge alone (none when the cut starts at sample 0)."""
+        n = tfr.spectrogram(record, pipe.stft).n_cols
+        start = self.cut_start(record, pipe) if pipe.recenter else None
+        if start is None:
+            return [("full", n)]
+        if start % pipe.stft.hop:
+            return [("full", n), ("full", n)]
+        return [("full", n)] + ([("edge", None)] if start else [])
+
+    def assert_transforms(self, seen, want, pipe):
+        assert [kind for kind, _ in seen] == [kind for kind, _ in want]
+        edge_max = -(-pipe.stft.window_len // pipe.stft.hop) - 1
+        for (kind, cols), (_, n) in zip(seen, want):
+            if kind == "full":
+                assert cols == n
+            else:
+                assert 0 < cols <= edge_max
 
     def test_trajectory_only_request_skips_recentring(self, twelve_records, monkeypatch):
         records = twelve_records[:3]
@@ -240,41 +281,54 @@ class TestExtractFeatures:
             )
             for r in records
         ]
-        calls = self.count_spectrograms(monkeypatch)
+        calls = self.count_transforms(monkeypatch)
         table = extract_features(records, pipe, kinds=("trajectory",))["trajectory"]
-        assert len(calls) == len(records)
+        assert [kind for kind, _ in calls] == ["full"] * len(records)
         for got, want in zip(table.trajectories, raw):
             np.testing.assert_array_equal(got.points, want.points)
 
     @pytest.mark.parametrize(
-        "source, recenter, calls",
-        [("gesture", True, 2), ("gesture", False, 1), ("tone", True, 1)],
+        "source, recenter",
+        [("gesture", True), ("gesture", False), ("tone", True)],
         ids=["recentred", "no-recenter", "no-burst"],
     )
-    def test_spectrograms_per_record(self, twelve_records, monkeypatch, source, recenter, calls):
-        """One band STFT a record, and one more only when recentring cuts
-        a burst; a steady tone has no burst to cut."""
+    def test_spectrograms_per_record(self, twelve_records, monkeypatch, source, recenter):
+        """One full band STFT a record.  Recentring a burst adds a second
+        full one when the cut is off the hop grid, and only a transform of
+        the frames across the record's edge when it is on the grid; a
+        steady tone has no burst to cut."""
         pipe = PipelineConfig(recenter=recenter)
         if source == "tone":
             t = np.arange(64_000) / 12_800.0
             samples = np.exp(2j * np.pi * 100.0 * t).astype(np.complex64)
-            record = IQRecord(samples, 12_800.0, GestureLabel(0))
-            spec = tfr.spectrogram(record, pipe.stft, pipe.band_hz)
-            assert segmentation.bursts(spec, pipe.pbc)[1] is None
+            records = [IQRecord(samples, 12_800.0, GestureLabel(0))]
+            assert self.cut_start(records[0], pipe) is None
+        elif recenter:
+            starts = [self.cut_start(r, pipe) for r in twelve_records]
+            on = next(i for i, s in enumerate(starts) if s and s % pipe.stft.hop == 0)
+            off = next(i for i, s in enumerate(starts) if s % pipe.stft.hop)
+            records = [twelve_records[on], twelve_records[off]]
         else:
-            record = twelve_records[0]
-        seen = self.count_spectrograms(monkeypatch)
-        extract_features([record], pipe, kinds=("envelope", "empirical", "pca-envimg"))
-        assert len(seen) == calls
+            records = twelve_records[:1]
+        kinds = ("envelope", "empirical", "pca-envimg")
+        for record in records:
+            want = self.expected_transforms(record, pipe)
+            assert len(want) == (2 if source == "gesture" and recenter else 1)
+            seen = self.count_transforms(monkeypatch)
+            extract_features([record], pipe, kinds=kinds)
+            self.assert_transforms(seen, want, pipe)
+            monkeypatch.undo()
 
     def test_mixed_request_still_recentres_for_envelope(self, twelve_records, monkeypatch):
         records = twelve_records[:3]
         pipe = PipelineConfig()
         alone = extract_features(records, pipe, kinds=("envelope",))["envelope"]
         traj = extract_features(records, pipe, kinds=("trajectory",))["trajectory"]
-        calls = self.count_spectrograms(monkeypatch)
+        want = [c for r in records for c in self.expected_transforms(r, pipe)]
+        assert len(want) > len(records)  # at least one record recentres
+        calls = self.count_transforms(monkeypatch)
         both = extract_features(records, pipe, kinds=("trajectory", "envelope"))
-        assert len(calls) == 2 * len(records)
+        self.assert_transforms(calls, want, pipe)
         np.testing.assert_array_equal(both["envelope"].vectors, alone.vectors)
         np.testing.assert_array_equal(both["trajectory"].vectors, traj.vectors)
 

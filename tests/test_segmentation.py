@@ -1,19 +1,22 @@
-"""Burst-curve segmentation: oracles, crafted pulses, interval windowing."""
+"""Burst-curve segmentation: oracles, crafted pulses, interval windowing, recentring."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mdgest.segmentation import (
     MotionInterval,
     PbcConfig,
     bursts,
+    cut_span,
     detect,
     pbc,
+    recentre,
     segment_record,
     smooth,
     window,
 )
-from mdgest.simulate import GestureLabel, SimConfig, simulate_record
+from mdgest.simulate import GestureLabel, IQRecord, SimConfig, simulate_record
 from mdgest.tfr import Spectrogram, StftConfig, spectrogram
 
 FS = 12800.0
@@ -296,3 +299,57 @@ class TestWindow:
         rec = self.make_record()
         out = window(rec, MotionInterval(2.0, 3.0), duration_s=2.0)
         assert len(out.samples) == int(2.0 * FS)
+
+
+# The default STFT, and one whose window is not a multiple of its hop.
+RECENTRE_CFGS = {"default": StftConfig(), "ragged": StftConfig(window_len=100, fft_size=128, hop=24)}
+
+
+@pytest.mark.prop
+class TestRecentre:
+    """The recentred spectrogram has the bits of a full STFT of the cut."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        cfg_name=st.sampled_from(sorted(RECENTRE_CFGS)),
+        n_cols=st.integers(1, 40),
+        extra=st.integers(0, 127),
+        shift=st.integers(-25, 25),
+        offset=st.sampled_from([0, 0, 1, 7, 64]),  # 0: the cut starts on the hop grid
+        dtype=st.sampled_from([np.complex64, np.complex128]),
+        band_hz=st.sampled_from([None, 640.0, 150.0]),
+        seed=st.integers(0, 2**16),
+    )
+    @example("default", 30, 5, -7, 0, np.complex64, 640.0, 1)  # before the record, on the grid
+    @example("default", 30, 5, 0, 0, np.complex64, 640.0, 2)  # at sample 0
+    @example("default", 30, 5, 7, 0, np.complex128, 640.0, 3)  # inside, on the grid
+    @example("default", 30, 5, -7, 64, np.complex64, None, 4)  # off the grid, both sides
+    @example("default", 30, 5, 7, 64, np.complex128, 640.0, 5)
+    @example("ragged", 25, 11, -6, 0, np.complex64, 150.0, 6)
+    @example("ragged", 25, 11, 6, 0, np.complex128, None, 7)
+    @example("ragged", 25, 11, 6, 7, np.complex64, None, 8)
+    def test_equals_full_stft_of_the_cut(
+        self, cfg_name, n_cols, extra, shift, offset, dtype, band_hz, seed
+    ):
+        cfg = RECENTRE_CFGS[cfg_name]
+        n = cfg.window_len + cfg.hop * (n_cols - 1) + extra % cfg.hop
+        start = shift * cfg.hop + offset % cfg.hop
+        if not -n / 2 < start < n / 2:  # the cut's centre must lie inside the record
+            start = start % cfg.hop - cfg.hop * (n // (4 * cfg.hop))
+        rng = np.random.Generator(np.random.PCG64(seed))
+        samples = (rng.standard_normal(n) + 1j * rng.standard_normal(n)).astype(dtype)
+        rec = IQRecord(samples, FS, GestureLabel.CROSS)
+        mid_s = (start + n / 2) / FS
+        iv = MotionInterval(mid_s - 0.001, mid_s + 0.001)
+        assert cut_span(rec, iv, rec.duration_s)[0] == start
+
+        cut, got = recentre(rec, spectrogram(rec, cfg, band_hz), iv, cfg, band_hz)
+        want_cut = window(rec, iv, rec.duration_s)
+        want = spectrogram(want_cut, cfg, band_hz)
+        np.testing.assert_array_equal(cut.samples, want_cut.samples)
+        assert got.power.dtype == want.power.dtype
+        assert got.power.shape == want.power.shape
+        assert got.power.strides == want.power.strides
+        assert got.power.tobytes() == want.power.tobytes()
+        np.testing.assert_array_equal(got.time_s, want.time_s)
+        np.testing.assert_array_equal(got.freq_hz, want.freq_hz)

@@ -113,16 +113,23 @@ class TestBlockedBandStft:
 
     def signal(self, n, dtype=np.complex64, seed=3):
         rng = np.random.Generator(np.random.PCG64(seed))
+        if np.dtype(dtype).kind != "c":  # real input, integers in a few hundred
+            return np.round(100.0 * rng.standard_normal(n)).astype(dtype)
         return (rng.standard_normal(n) + 1j * rng.standard_normal(n)).astype(dtype)
 
+    # Real input keeps a real block buffer: scipy transforms it by its
+    # real-input path, whose bits a complex copy would not reproduce.
     @pytest.mark.parametrize(
         "n, dtype",
         [
             (2048 + 128 * (3 * _BLOCK_COLS + 5), np.complex64),  # not a multiple of the block
             (2048, np.complex64),  # exactly one window: one column
             (2048 + 128 * (_BLOCK_COLS + 1), np.complex128),
+            (2048 + 128 * (_BLOCK_COLS + 1), np.float32),
+            (2048 + 128 * (_BLOCK_COLS + 1), np.float64),
+            (2048 + 128 * (_BLOCK_COLS + 1), np.int64),
         ],
-        ids=["ragged", "one-window", "complex128"],
+        ids=["ragged", "one-window", "complex128", "float32", "float64", "int64"],
     )
     @pytest.mark.parametrize("band_hz", [None, 640.0, 500.0, 12.0])
     def test_equals_band_rows_of_one_shot_stft(self, n, dtype, band_hz):
