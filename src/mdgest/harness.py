@@ -172,8 +172,10 @@ def _record_features(record, pipe: PipelineConfig, kinds: tuple[str, ...]) -> di
             img = tfr.to_gray(cropped, pipe.image_size, pipe.image_dyn_db)
             out["pca-spec"] = tfr.vectorize(img).astype(np.float32)
         if "pca-envimg" in kinds:
+            # Its pixels are exactly 0 or 1; ``subspace.gram`` reads the
+            # table in float64, so a byte each loses nothing.
             img = envelope.envelope_image(cropped, env, pipe.image_size)
-            out["pca-envimg"] = tfr.vectorize(img).astype(np.float32)
+            out["pca-envimg"] = tfr.vectorize(img).astype(np.uint8)
     return out
 
 

@@ -1,15 +1,18 @@
 """Spectrograms and gray-scale image conversion.
 
-Short-time Fourier transform with a rectangular window, zero-padded
-FFT (``scipy.fft.fft``, in single precision for complex64 samples), and
-power output, optionally limited to the rows that cover a band
-[-B, +B].  Rows ascend in frequency from -fs/2 (or about -B) toward
-+fs/2 (or about +B); column n covers samples
-[n*hop, n*hop + window_len) and is stamped with the window-center time.
+Short-time Fourier transform with a rectangular window and power
+output, optionally limited to the rows that cover a band [-B, +B].
+Rows ascend in frequency from -fs/2 (or about -B) toward +fs/2 (or
+about +B); column n covers samples [n*hop, n*hop + window_len) and is
+stamped with the window-center time.  The columns come from a
+zero-padded FFT (``scipy.fft.fft``, in single precision for complex64
+samples), or, for a band of complex samples, from hop-block DFTs (see
+``_block_form``).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,37 +62,72 @@ class Spectrogram:
         return Spectrogram(self.power[keep], self.time_s, self.freq_hz[keep])
 
 
-def stft_power(
-    x: np.ndarray,
-    sample_rate_hz: float,
-    cfg: StftConfig = StftConfig(),
-    band_hz: float | None = None,
-) -> Spectrogram:
-    """Power spectrogram of ``x``, every row or only a band of them.
+def _block_form(x: np.ndarray, cfg: StftConfig, band_hz: float | None) -> bool:
+    """Whether ``stft_power`` takes the hop-block transform, not the FFT.
 
-    With ``band_hz`` the rows are the fewest that cover
-    [-band_hz, +band_hz]: every row with |f| <= band_hz, plus the next
-    row out on a side where band_hz falls between two bins.  Columns
-    are transformed ``_BLOCK_COLS`` at a time and only the kept bins are
-    stored, so no full-size spectrum exists at once.  The power matrix
-    is the transpose of a (columns x rows) array, and each value has the
-    same bits with or without a band.
+    It does for a band of complex64 or complex128 samples whose window is
+    a power-of-two multiple of the hop.  Full-band output, real samples
+    and other windows take the zero-padded FFT, whose bits the test
+    oracles reproduce.
     """
-    x = np.asarray(x)
-    if x.ndim != 1:
-        raise ValueError("expected a 1-D sample array")
-    if len(x) < cfg.window_len:
-        raise ValueError("segment shorter than the analysis window")
-    freq = np.fft.fftshift(np.fft.fftfreq(cfg.fft_size, d=1.0 / sample_rate_hz))
-    bins = np.fft.fftshift(np.arange(cfg.fft_size))  # FFT bin of each ascending row
-    if band_hz is not None:
-        if band_hz < 0:
-            raise ValueError("band must be non-negative")
-        lo = max(int(np.searchsorted(freq, -band_hz, side="right")) - 1, 0)
-        hi = min(int(np.searchsorted(freq, band_hz, side="left")), len(freq) - 1)
-        freq, bins = freq[lo : hi + 1], bins[lo : hi + 1]
+    span = cfg.window_len // cfg.hop
+    return (
+        band_hz is not None
+        and x.dtype in (np.complex64, np.complex128)
+        and span * cfg.hop == cfg.window_len
+        and span & (span - 1) == 0
+    )
+
+
+@functools.lru_cache(maxsize=16)
+def _block_twiddles(cfg: StftConfig, lo: int, hi: int, dtype: np.dtype):
+    """The (hop x bins) DFT matrix of one hop block and the combine's
+    twiddle rows, for ascending rows lo..hi, cast to ``dtype``.
+
+    Phases are reduced exactly, as integers k*m mod fft_size, and
+    exponentiated in float64 before the cast.
+    """
+    n = cfg.fft_size
+    k = np.fft.fftshift(np.arange(n))[lo : hi + 1]
+
+    def unit(phase):
+        out = np.exp(-2j * np.pi / n * (phase % n)).astype(dtype)
+        out.setflags(write=False)
+        return out
+
+    dft = unit(np.arange(cfg.hop)[:, None] * k[None, :])
+    steps = []
+    s = 1
+    while s < cfg.window_len // cfg.hop:
+        steps.append((s, unit(k * (cfg.hop * s))))
+        s *= 2
+    return dft, tuple(steps)
+
+
+def _block_power(x: np.ndarray, cfg: StftConfig, lo: int, hi: int, n_cols: int) -> np.ndarray:
+    """(columns x rows) power of the band rows lo..hi, from hop blocks.
+
+    A frame is window_len / hop consecutive hop blocks, so its DFT at bin
+    k is the sum of their DFTs, block b turned by exp(-2 pi i k b hop / N)
+    (the hop-shift identity).  One matrix product gives every block's
+    band bins; a radix-2 combine, X[i] + X[i + s] * t**s for
+    s = 1, 2, 4, ..., sums them into frames.  Every value depends only on
+    its own frame's samples.
+    """
+    dft, steps = _block_twiddles(cfg, lo, hi, x.dtype)
+    n_blocks = n_cols + cfg.window_len // cfg.hop - 1
+    acc = x[: n_blocks * cfg.hop].reshape(n_blocks, cfg.hop) @ dft
+    for s, twiddle in steps:
+        acc = acc[:-s] + acc[s:] * twiddle
+    power = acc.real**2
+    power += acc.imag**2
+    return power
+
+
+def _fft_power(x: np.ndarray, cfg: StftConfig, bins: np.ndarray, n_cols: int) -> np.ndarray:
+    """(columns x rows) power of the given FFT bins, ``_BLOCK_COLS``
+    zero-padded frames per FFT call."""
     frames = np.lib.stride_tricks.sliding_window_view(x, cfg.window_len)[:: cfg.hop]
-    n_cols = len(frames)
     # One zero-tailed block buffer for every FFT call, in the dtype that
     # scipy.fft would convert ``x`` to: a complex buffer for real input
     # would take the c2c path, not r2c, and change the bits.
@@ -105,8 +143,46 @@ def stft_power(
         if power is None:
             power = np.empty((n_cols, len(bins)), dtype=mag.dtype)
         np.square(mag, out=power[c0 : c0 + len(mag)])
+    return power
+
+
+def stft_power(
+    x: np.ndarray,
+    sample_rate_hz: float,
+    cfg: StftConfig = StftConfig(),
+    band_hz: float | None = None,
+) -> Spectrogram:
+    """Power spectrogram of ``x``, every row or only a band of them.
+
+    With ``band_hz`` the rows are the fewest that cover
+    [-band_hz, +band_hz]: every row with |f| <= band_hz, plus the next
+    row out on a side where band_hz falls between two bins.  Only the
+    kept bins are computed or stored, so no full-size spectrum exists at
+    once.  ``_block_form`` picks the transform: the FFT path gives each
+    value the same bits with or without a band, the hop-block path
+    matches it to float rounding.  The power matrix is the transpose of
+    a (columns x rows) array.
+    """
+    x = np.asarray(x)
+    if x.ndim != 1:
+        raise ValueError("expected a 1-D sample array")
+    if len(x) < cfg.window_len:
+        raise ValueError("segment shorter than the analysis window")
+    freq = np.fft.fftshift(np.fft.fftfreq(cfg.fft_size, d=1.0 / sample_rate_hz))
+    lo, hi = 0, len(freq) - 1
+    if band_hz is not None:
+        if band_hz < 0:
+            raise ValueError("band must be non-negative")
+        lo = max(int(np.searchsorted(freq, -band_hz, side="right")) - 1, 0)
+        hi = min(int(np.searchsorted(freq, band_hz, side="left")), len(freq) - 1)
+    n_cols = (len(x) - cfg.window_len) // cfg.hop + 1
+    if _block_form(x, cfg, band_hz):
+        power = _block_power(x, cfg, lo, hi, n_cols)
+    else:
+        bins = np.fft.fftshift(np.arange(cfg.fft_size))[lo : hi + 1]  # FFT bin of each row
+        power = _fft_power(x, cfg, bins, n_cols)
     time = (cfg.hop * np.arange(n_cols) + cfg.window_len / 2.0) / sample_rate_hz
-    return Spectrogram(power.T, time, freq)
+    return Spectrogram(power.T, time, freq[lo : hi + 1])
 
 
 def spectrogram(

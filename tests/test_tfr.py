@@ -1,12 +1,19 @@
 """Spectrogram tests: direct DFT oracle, tone localization, image mapping."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import given, settings, strategies as st
 
 from mdgest.simulate import IQRecord
 from mdgest.tfr import (
     _BLOCK_COLS,
+    _block_form,
     GrayImage,
     Spectrogram,
     StftConfig,
@@ -108,14 +115,31 @@ def one_shot_power(x, fs, cfg):
     return power, np.fft.fftshift(np.fft.fftfreq(cfg.fft_size, d=1.0 / fs))
 
 
-class TestBlockedBandStft:
-    """Columns transformed in blocks, rows kept in a band, bits unchanged."""
+# The hop-block path matches the FFT to float32 rounding: every band
+# value lies within this share of its column's band peak (the worst seen
+# on random complex64 signals and corpus records was 1.6e-6).
+BLOCK_COLUMN_RTOL = 1e-5
 
-    def signal(self, n, dtype=np.complex64, seed=3):
-        rng = np.random.Generator(np.random.PCG64(seed))
-        if np.dtype(dtype).kind != "c":  # real input, integers in a few hundred
-            return np.round(100.0 * rng.standard_normal(n)).astype(dtype)
-        return (rng.standard_normal(n) + 1j * rng.standard_normal(n)).astype(dtype)
+
+def assert_block_close(power, want):
+    """Each column of ``power`` within ``BLOCK_COLUMN_RTOL`` of the peak
+    of the same column of ``want``."""
+    err = np.abs(power.astype(float) - want).max(axis=0)
+    peak = want.max(axis=0)
+    assert np.all(err <= BLOCK_COLUMN_RTOL * peak), float((err / peak).max())
+
+
+def band_signal(n, dtype=np.complex64, seed=3, scale=1.0):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    if np.dtype(dtype).kind != "c":  # real input, integers in a few hundred
+        return np.round(100.0 * rng.standard_normal(n)).astype(dtype)
+    return (scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))).astype(dtype)
+
+
+class TestBlockedBandStft:
+    """Columns transformed in blocks or from hop blocks, rows kept in a band."""
+
+    signal = staticmethod(band_signal)
 
     # Real input keeps a real block buffer: scipy transforms it by its
     # real-input path, whose bits a complex copy would not reproduce.
@@ -133,17 +157,93 @@ class TestBlockedBandStft:
     )
     @pytest.mark.parametrize("band_hz", [None, 640.0, 500.0, 12.0])
     def test_equals_band_rows_of_one_shot_stft(self, n, dtype, band_hz):
+        """The FFT path keeps the bits of the one-shot STFT; a band of
+        complex samples takes the hop-block path, within its bound."""
         cfg = StftConfig()
         x = self.signal(n, dtype)
         full, freq = one_shot_power(x, FS, cfg)
         spec = stft_power(x, FS, cfg, band_hz)
         keep = np.ones(len(freq), bool) if band_hz is None else np.isin(freq, spec.freq_hz)
+        assert _block_form(x, cfg, band_hz) == (band_hz is not None and np.dtype(dtype).kind == "c")
         assert spec.power.dtype == full.dtype
         assert spec.power.shape == (keep.sum(), full.shape[1])
-        np.testing.assert_array_equal(spec.power, full[keep])
+        if _block_form(x, cfg, band_hz):
+            assert_block_close(spec.power, full[keep])
+        else:
+            np.testing.assert_array_equal(spec.power, full[keep])
         np.testing.assert_array_equal(spec.freq_hz, freq[keep])
         # the same (rows x cols) orientation: a transposed (cols x rows) array
         assert spec.power.strides[0] < spec.power.strides[1] or spec.power.shape[1] == 1
+
+    @pytest.mark.parametrize(
+        "cfg, dtype, band_hz, block",
+        [
+            (StftConfig(), np.complex64, 640.0, True),
+            (StftConfig(), np.complex128, 0.0, True),
+            (StftConfig(window_len=128, fft_size=256, hop=128), np.complex64, 640.0, True),
+            (StftConfig(), np.complex64, None, False),  # full band
+            (StftConfig(), np.float32, 640.0, False),  # real samples
+            (StftConfig(window_len=1536, hop=128), np.complex64, 640.0, False),  # 12 hops
+            (StftConfig(window_len=100, fft_size=128, hop=24), np.complex64, 640.0, False),
+        ],
+    )
+    def test_path_rule(self, cfg, dtype, band_hz, block):
+        assert _block_form(np.zeros(4096, dtype), cfg, band_hz) == block
+
+    @pytest.mark.prop
+    @settings(max_examples=40, deadline=None)
+    @given(
+        cfg=st.sampled_from([StftConfig(), StftConfig(window_len=256, fft_size=1024, hop=32)]),
+        n_cols=st.integers(1, 80),
+        extra=st.integers(0, 127),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        band_hz=st.sampled_from([0.0, 12.0, 500.0, 640.0, 3000.0, 6400.0]),
+        dtype=st.sampled_from([np.complex64, np.complex128]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_block_path_matches_one_shot_power(self, cfg, n_cols, extra, scale, band_hz, dtype, seed):
+        n = cfg.window_len + cfg.hop * (n_cols - 1) + extra % cfg.hop
+        x = self.signal(n, dtype, seed, scale)
+        assert _block_form(x, cfg, band_hz)
+        full, freq = one_shot_power(x, FS, cfg)
+        spec = stft_power(x, FS, cfg, band_hz)
+        keep = np.isin(freq, spec.freq_hz)
+        assert spec.power.dtype == full.dtype
+        assert spec.power.shape == (keep.sum(), n_cols)
+        assert_block_close(spec.power, full[keep])
+        np.testing.assert_array_equal(spec.freq_hz, freq[keep])
+
+    def test_offset_view_gives_the_same_bytes(self):
+        """Samples inside a larger buffer, at any alignment, give the bits
+        of the same samples in an array of their own."""
+        x = self.signal(2048 + 128 * 200 + 37)
+        want = stft_power(x, FS, StftConfig(), 640.0).power.tobytes()
+        for offset in (1, 3, 8, 129):
+            buf = np.zeros(len(x) + 2 * offset, x.dtype)
+            view = buf[offset : offset + len(x)]
+            view[:] = x
+            assert stft_power(view, FS, StftConfig(), 640.0).power.tobytes() == want
+
+    def test_blas_thread_count_does_not_change_bytes(self):
+        """The block path's matrix product runs in BLAS; one and two
+        OpenBLAS threads give the same power bytes."""
+        script = (
+            "import hashlib, numpy as np\n"
+            "from mdgest.tfr import StftConfig, stft_power\n"
+            "rng = np.random.Generator(np.random.PCG64(5))\n"
+            "x = (rng.standard_normal(64000) + 1j * rng.standard_normal(64000)).astype(np.complex64)\n"
+            "print(hashlib.sha256(stft_power(x, 12800.0, StftConfig(), 640.0).power.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+            proc = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+            )
+            digests.append(proc.stdout.strip())
+        assert len(digests[0]) == 64 and digests[0] == digests[1]
 
     @pytest.mark.parametrize("band_hz", [640.0, 500.0, 3.0, 0.0])
     def test_band_is_the_fewest_rows_covering_it(self, band_hz):
