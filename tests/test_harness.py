@@ -163,8 +163,8 @@ def full_spectrogram_features(record, pipe, kinds):
 
 # Band spectrograms come from the hop-block transform, full ones from the
 # FFT; they agree to float32 rounding.  Trajectory intensities are power
-# values (worst seen 5.4e-7 relative), ``pca-spec`` pixels lie in [0, 1]
-# (worst seen 4.4e-7).
+# values (worst seen 9.2e-7 relative, on generate_dataset(20)), ``pca-spec``
+# pixels lie in [0, 1] (worst seen 4.4e-7).
 TRAJECTORY_INTENSITY_RTOL = 1e-5
 PCA_SPEC_PIXEL_ATOL = 1e-5
 

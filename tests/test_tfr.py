@@ -117,7 +117,7 @@ def one_shot_power(x, fs, cfg):
 
 # The hop-block path matches the FFT to float32 rounding: every band
 # value lies within this share of its column's band peak (the worst seen
-# on random complex64 signals and corpus records was 1.6e-6).
+# on random complex64 signals and corpus records was 1.5e-6).
 BLOCK_COLUMN_RTOL = 1e-5
 
 
@@ -129,17 +129,14 @@ def assert_block_close(power, want):
     assert np.all(err <= BLOCK_COLUMN_RTOL * peak), float((err / peak).max())
 
 
-def band_signal(n, dtype=np.complex64, seed=3, scale=1.0):
-    rng = np.random.Generator(np.random.PCG64(seed))
-    if np.dtype(dtype).kind != "c":  # real input, integers in a few hundred
-        return np.round(100.0 * rng.standard_normal(n)).astype(dtype)
-    return (scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))).astype(dtype)
-
-
 class TestBlockedBandStft:
     """Columns transformed in blocks or from hop blocks, rows kept in a band."""
 
-    signal = staticmethod(band_signal)
+    def signal(self, n, dtype=np.complex64, seed=3, scale=1.0):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        if np.dtype(dtype).kind != "c":  # real input, integers in a few hundred
+            return np.round(100.0 * rng.standard_normal(n)).astype(dtype)
+        return (scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))).astype(dtype)
 
     # Real input keeps a real block buffer: scipy transforms it by its
     # real-input path, whose bits a complex copy would not reproduce.
