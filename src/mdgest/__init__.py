@@ -23,10 +23,9 @@ from .subspace import (
     canonical_correlations,
     class_subspace,
     fit_pca,
-    project,
     similarity_table,
 )
-from .classify import DistanceKind, SvmModel, dist, svm_predict
+from .classify import DistanceKind, SvmModel, svm_predict
 from .harness import ConfusionMatrix, EvalProtocol, PipelineConfig, evaluate, report, split
 
 __version__ = "0.1.0"

@@ -55,18 +55,6 @@ def _as_mass(v: np.ndarray) -> np.ndarray:
 ENVELOPE_SCALE_HZ = 500.0
 
 
-def dist(a, b, kind: DistanceKind | str) -> float:
-    """One distance: ``pairwise_distances`` of two one-element collections."""
-    kind = DistanceKind.parse(kind)
-    if kind is DistanceKind.MHD:
-        return float(pairwise_distances([a], [b], kind)[0, 0])
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError("vector distances need two equal-length vectors")
-    return float(pairwise_distances(a[None], b[None], kind)[0, 0])
-
-
 def _nearest_sq(pts, cols, q, d2_buf, term_buf):
     """Nearest float32 squared distances between ``pts`` (p, dim) and a
     block of sets of ``q`` points each, laid out set by set as ``cols``

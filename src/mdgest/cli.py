@@ -129,6 +129,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_spectrogram(args) -> int:
+    if not (np.isfinite(args.dyn_range) and args.dyn_range > 0):
+        raise ConfigError(f"--dyn-range must be a finite positive dB span, got {args.dyn_range}")
     rec = _load_record(Path(args.infile), args.sample_rate)
     try:
         spec = tfr.spectrogram(rec)
@@ -333,6 +335,8 @@ def main(argv=None) -> int:
         _apply_config_file(args, parser)
         if args.seed < 0:
             raise ConfigError(f"--seed must be non-negative, got {args.seed}")
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         return args.fn(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -140,7 +140,7 @@ def _record_features(record, pipe: PipelineConfig, kinds: tuple[str, ...]) -> di
     if recenter or "empirical" in kinds:
         burst = segmentation.bursts(spec, pipe.pbc)[1]
     if recenter and burst is not None:
-        record, spec = segmentation.recentre(record, spec, burst, pipe.stft, pipe.band_hz)
+        spec = segmentation.recentre(record, spec, burst, pipe.stft, pipe.band_hz)
         if "empirical" in kinds:
             burst = segmentation.bursts(spec, pipe.pbc)[1]
 

@@ -206,32 +206,33 @@ def recentre(
     interval: MotionInterval,
     cfg: StftConfig = StftConfig(),
     band_hz: float | None = None,
-) -> tuple[IQRecord, Spectrogram]:
-    """``window`` over the record's own duration, and its spectrogram.
+) -> Spectrogram:
+    """The spectrogram of ``window`` over the record's own duration.
 
-    ``spec`` must be ``spectrogram(record, cfg, band_hz)``.  When the cut
-    starts on the hop grid, start = k * hop, cut column j reads the
-    frame of record column j + k: a frame inside the record takes that
-    column as it is, a frame wholly in the zero padding has zero power,
-    and only the frames across the record's edge are transformed (the
-    hop-shift identity of the short-time transform).  Off the grid the
-    cut takes a full STFT.  Either way the result has the bits of
-    ``spectrogram(cut, cfg, band_hz)``.
+    ``spec`` must be ``spectrogram(record, cfg, band_hz)``.  Cut frame j
+    begins at record sample start + j * hop.  When start = k * hop, a
+    frame inside the record is record column j + k and is copied (the
+    hop-shift identity of the short-time transform).  The other frames
+    that touch the record, one run on the side the cut pads, are
+    transformed; a frame wholly in the zero padding has zero power.  The
+    result has the bits of ``spectrogram(cut, cfg, band_hz)``.
     """
     cut = window(record, interval, record.duration_s)
     start, _ = cut_span(record, interval, record.duration_s)
-    if start % cfg.hop:
-        return cut, tfr.spectrogram(cut, cfg, band_hz)
-    k, n, hop = start // cfg.hop, spec.n_cols, cfg.hop
-    cols = np.zeros_like(spec.power.T)  # (columns x rows), as stft_power lays it out
-    lo, hi = max(-k, 0), min(n - k, n)  # cut columns whose frame lies inside the record
-    if lo < hi:
-        cols[lo:hi] = spec.power.T[lo + k : hi + k]
+    n, hop, w = spec.n_cols, cfg.hop, cfg.window_len
     first = start + hop * np.arange(n)  # each cut frame's first record sample
-    edge = np.flatnonzero((first + cfg.window_len > 0) & (first < len(record.samples)))
-    edge = edge[(edge < lo) | (edge >= hi)]  # one run, on the side the cut pads
-    if edge.size:
-        a, b = int(edge[0]), int(edge[-1]) + 1
-        x = cut.samples[a * hop : (b - 1) * hop + cfg.window_len]
+    copied = (first >= 0) & (first + w <= len(record.samples)) & (start % hop == 0)
+    cols = np.zeros_like(spec.power.T)  # (columns x rows), as stft_power lays it out
+    a, b = _run(copied)
+    cols[a:b] = spec.power.T[a + start // hop : b + start // hop]
+    a, b = _run((first + w > 0) & (first < len(record.samples)) & ~copied)
+    if a < b:
+        x = cut.samples[a * hop : (b - 1) * hop + w]
         cols[a:b] = tfr.stft_power(x, record.sample_rate_hz, cfg, band_hz).power.T
-    return cut, Spectrogram(cols.T, spec.time_s, spec.freq_hz)
+    return Spectrogram(cols.T, spec.time_s, spec.freq_hz)
+
+
+def _run(mask: np.ndarray) -> tuple[int, int]:
+    """Bounds of the indices from the first to the last true entry."""
+    idx = np.flatnonzero(mask)
+    return (int(idx[0]), int(idx[-1]) + 1) if idx.size else (0, 0)

@@ -82,7 +82,7 @@ def gram_pca(g: np.ndarray, dims: int, train, test, d: int) -> tuple[np.ndarray,
 
     ``g`` is ``gram`` of every row of a (rows x ``dims``) table; the
     principal directions are those ``fit_pca`` finds for the train
-    rows, and the coefficients equal ``project``'s onto them.  No
+    rows, and the coefficients project the centred rows onto them.  No
     ``dims``-long row is touched: train coefficients are V sqrt(L) for
     the eigenpairs (L, V) of the train-centred train block, test
     coefficients the train-centred cross block times V / sqrt(L).  This
@@ -105,14 +105,6 @@ def gram_pca(g: np.ndarray, dims: int, train, test, d: int) -> tuple[np.ndarray,
     g_et = g[np.ix_(test, train)]
     g_et = g_et - g_et.mean(axis=1, keepdims=True) - r[None, :] + r_bar
     return _orient(v * np.where(keep, root, 0.0), (g_et @ v) * np.where(keep, 1.0 / root, 0.0))
-
-
-def project(model: PcaModel, x: np.ndarray) -> np.ndarray:
-    """Coefficients of one sample (1-D) or a stack of samples (2-D)."""
-    x = np.asarray(x, float)
-    if x.shape[-1] != model.mean.shape[0]:
-        raise ValueError("sample dimension does not match the model")
-    return (x - model.mean) @ model.basis
 
 
 @dataclass

@@ -4,10 +4,11 @@ Short-time Fourier transform with a rectangular window and power
 output, optionally limited to the rows that cover a band [-B, +B].
 Rows ascend in frequency from -fs/2 (or about -B) toward +fs/2 (or
 about +B); column n covers samples [n*hop, n*hop + window_len) and is
-stamped with the window-center time.  The columns come from a
-zero-padded FFT (``scipy.fft.fft``, in single precision for complex64
-samples), or, for a band of complex samples, from hop-block DFTs (see
-``_block_form``).
+stamped with the window-center time.  A band of complex samples comes
+from hop-block DFTs, which feature extraction uses; full-band output,
+real samples and other windows come from a zero-padded FFT
+(``scipy.fft.fft``, in single precision for single-precision samples).
+``_block_form`` picks the path.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ import scipy.fft
 
 from .simulate import IQRecord
 
-# Columns per FFT call: a (64, 4096) complex64 block is 2 MB, allocated
-# once per call and reused by every block.
+# Columns per FFT call: a (64, 4096) complex64 block is 2 MB.
 _BLOCK_COLS = 64
 
 
@@ -128,17 +128,9 @@ def _fft_power(x: np.ndarray, cfg: StftConfig, bins: np.ndarray, n_cols: int) ->
     """(columns x rows) power of the given FFT bins, ``_BLOCK_COLS``
     zero-padded frames per FFT call."""
     frames = np.lib.stride_tricks.sliding_window_view(x, cfg.window_len)[:: cfg.hop]
-    # One zero-tailed block buffer for every FFT call, in the dtype that
-    # scipy.fft would convert ``x`` to: a complex buffer for real input
-    # would take the c2c path, not r2c, and change the bits.
-    dtype = np.result_type(x.dtype, np.float32) if x.dtype.kind in "fc" else np.float64
-    buf = np.empty((min(n_cols, _BLOCK_COLS), cfg.fft_size), dtype=dtype)
     power = None
     for c0 in range(0, n_cols, _BLOCK_COLS):
-        block = buf[: min(_BLOCK_COLS, n_cols - c0)]
-        block[:, : cfg.window_len] = frames[c0 : c0 + len(block)]
-        block[:, cfg.window_len :] = 0  # a complex block is transformed in place
-        spec = scipy.fft.fft(block, axis=1, overwrite_x=True)
+        spec = scipy.fft.fft(frames[c0 : c0 + _BLOCK_COLS], n=cfg.fft_size, axis=1)
         mag = np.abs(spec[:, bins])
         if power is None:
             power = np.empty((n_cols, len(bins)), dtype=mag.dtype)

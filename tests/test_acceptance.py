@@ -2,8 +2,9 @@
 
 Each test covers one numbered criterion and reports exactly one
 PASS/FAIL line through the terminal-summary hook in conftest.  The
-720-record corpus and its feature tables are module scoped so they are
-built once and shared by the classification criteria.
+720-record corpus and its feature tables, from one extraction pass, are
+module scoped so they are built once and shared by the classification
+criteria.
 
 Run just this gate with ``pytest -m acceptance``.
 """
@@ -17,7 +18,6 @@ import numpy as np
 import pytest
 
 from conftest import note_criterion
-from mdgest.classify import dist
 from mdgest.features import trajectory
 from mdgest.harness import EvalProtocol, PipelineConfig, evaluate, extract_features
 from mdgest.segmentation import segment_record
@@ -25,7 +25,7 @@ from mdgest.simulate import GestureLabel, SimConfig, generate_dataset, simulate_
 from mdgest.subspace import canonical_correlations, similarity_table
 from mdgest.tfr import Spectrogram
 
-from test_classify import emd_lp_oracle
+from test_classify import dist, emd_lp_oracle
 from test_features import greedy_oracle
 from test_subspace import eigen_oracle, random_subspace
 
@@ -43,25 +43,15 @@ def corpus():
 
 
 @pytest.fixture(scope="module")
-def curve_tables(corpus):
-    """Envelope, empirical, and trajectory tables from one pipeline pass."""
+def corpus_tables(corpus):
+    """Every kind but pca-env from one pipeline pass, plus its time."""
     t0 = time.perf_counter()
     tables = extract_features(
         corpus["ds"].records,
         PipelineConfig(),
-        kinds=("envelope", "empirical", "trajectory"),
+        kinds=("envelope", "empirical", "trajectory", "pca-spec", "pca-envimg"),
     )
     return {"tables": tables, "extract_s": time.perf_counter() - t0}
-
-
-@pytest.fixture(scope="module")
-def image_tables(corpus):
-    """Spectrogram-image and envelope-image vectors for the subspace runs."""
-    return extract_features(
-        corpus["ds"].records,
-        PipelineConfig(),
-        kinds=("pca-spec", "pca-envimg"),
-    )
 
 
 def test_criterion_1_property_suite():
@@ -131,12 +121,12 @@ def test_criterion_2_oracle_agreement():
     assert ok
 
 
-def test_criterion_3_protocol_accuracy(corpus, curve_tables):
+def test_criterion_3_protocol_accuracy(corpus, corpus_tables):
     """Envelope nearest neighbor clears the floor and beats both baselines."""
     ds = corpus["ds"]
-    tables = curve_tables["tables"]
+    tables = corpus_tables["tables"]
     proto = EvalProtocol()
-    spent = corpus["gen_s"] + curve_tables["extract_s"]
+    spent = corpus["gen_s"] + corpus_tables["extract_s"]
 
     accs = {}
     runs = [
@@ -180,7 +170,7 @@ def test_criterion_3_protocol_accuracy(corpus, curve_tables):
     assert all(checks), detail
 
 
-def test_criterion_4_image_subspace_gap(corpus, image_tables):
+def test_criterion_4_image_subspace_gap(corpus, corpus_tables):
     """Envelope images track spectrogram images under the same splits."""
     accs = {}
     for feat in ("pca-spec", "pca-envimg"):
@@ -188,7 +178,7 @@ def test_criterion_4_image_subspace_gap(corpus, image_tables):
             corpus["ds"],
             PipelineConfig(features=feat, classifier="nn-l1"),
             EvalProtocol(),
-            features_table=image_tables[feat],
+            features_table=corpus_tables["tables"][feat],
         )
         accs[feat] = cm.overall_accuracy
     gap = abs(accs["pca-envimg"] - accs["pca-spec"])
@@ -202,10 +192,10 @@ def test_criterion_4_image_subspace_gap(corpus, image_tables):
     assert ok
 
 
-def test_criterion_5_similarity_table(corpus, image_tables):
+def test_criterion_5_similarity_table(corpus, corpus_tables):
     """Unit diagonal, strict off-diagonal, and a duplicate-class control."""
     by_class = {}
-    for rec, vec in zip(corpus["ds"].records, image_tables["pca-spec"].vectors):
+    for rec, vec in zip(corpus["ds"].records, corpus_tables["tables"]["pca-spec"].vectors):
         by_class.setdefault(rec.label, []).append(vec)
 
     tab = similarity_table(by_class, d=10)

@@ -10,7 +10,6 @@ from mdgest.classify import (
     DistanceKind,
     _envelope_mhd_matrix,
     _mhd_matrix,
-    dist,
     SvmModel,
     fit_svm_many,
     pairwise_distances,
@@ -28,6 +27,11 @@ from mdgest.harness import (
 from mdgest.simulate import STREAM_SVM, GestureLabel, SimConfig, simulate_record
 
 VECTOR_KINDS = (DistanceKind.L1, DistanceKind.L2, DistanceKind.EMD)
+
+
+def dist(a, b, kind):
+    """One distance: ``pairwise_distances`` of two one-element collections."""
+    return float(pairwise_distances([a], [b], kind)[0, 0])
 
 
 def as_mass_oracle(v):
@@ -248,11 +252,11 @@ class TestDistValues:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            dist(np.ones(3), np.ones(4), "l1")
+            pairwise_distances([np.ones(3)], [np.ones(4)], "l1")
         with pytest.raises(ValueError):
-            dist(np.ones(3), np.ones(4), "emd")
+            pairwise_distances([np.ones(3)], [np.ones(4)], "emd")
         with pytest.raises(ValueError):
-            dist(np.ones((2, 2)), np.ones((2, 3)), "mhd")
+            pairwise_distances([np.ones((2, 2))], [np.ones((2, 3))], "mhd")
         with pytest.raises(ValueError):
             pairwise_distances([np.ones((2, 2))] * 3, [np.ones((4, 3))], "mhd")
 

@@ -63,34 +63,51 @@ class TestSimulate:
         assert not out.exists()
 
 
+# One run of every command, with inputs that exist ({iq}, {ds}) or that
+# the command would write first ({tmp}/r.json).
+EVERY_COMMAND = [
+    ["simulate", "--out", "{tmp}/ds", "--per-class", "1"],
+    ["spectrogram", "--in", "{iq}", "--out", "{tmp}/s.pgm"],
+    ["segment", "--in", "{iq}", "--out", "{tmp}/seg"],
+    ["envelope", "--in", "{iq}", "--out", "{tmp}/e.json"],
+    ["features", "--kind", "empirical", "--in", "{ds}", "--out", "{tmp}/f.csv"],
+    ["similarity", "--in", "{ds}", "--out", "{tmp}/s.csv"],
+    ["eval", "--in", "{ds}", "--trials", "1", "--out-json", "{tmp}/r.json"],
+    ["report", "--in", "{tmp}/r.json", "--out", "{tmp}/r.csv"],
+]
+
+
+def assert_global_option_rejected(option, value, argv, how, tiny_dataset_dir, tmp_path, capsys):
+    """``--option value`` before the command, or ``{option: value}`` in a
+    --config file, exits 2 naming the option and writes nothing."""
+    fill = dict(tmp=tmp_path, iq=first_iq(tiny_dataset_dir), ds=tiny_dataset_dir)
+    argv = [a.format(**fill) for a in argv]
+    if how == "option":
+        head = [f"--{option}", str(value)]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({option: value}))
+        head = ["--config", str(cfg)]
+    assert main(head + argv) == 2
+    assert f"--{option}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == ([cfg] if how == "config" else [])
+
+
 class TestSeed:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["simulate", "--out", "{tmp}/ds", "--per-class", "1"],
-            ["spectrogram", "--in", "{iq}", "--out", "{tmp}/s.pgm"],
-            ["segment", "--in", "{iq}", "--out", "{tmp}/seg"],
-            ["envelope", "--in", "{iq}", "--out", "{tmp}/e.json"],
-            ["features", "--kind", "empirical", "--in", "{ds}", "--out", "{tmp}/f.csv"],
-            ["similarity", "--in", "{ds}", "--out", "{tmp}/s.csv"],
-            ["eval", "--in", "{ds}", "--trials", "1", "--out-json", "{tmp}/r.json"],
-            ["report", "--in", "{tmp}/r.json", "--out", "{tmp}/r.csv"],
-        ],
-        ids=lambda argv: argv[0],
-    )
+    @pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: argv[0])
     @pytest.mark.parametrize("how", ["option", "config"])
     def test_negative_seed_is_config_error(self, argv, how, tiny_dataset_dir, tmp_path, capsys):
-        fill = dict(tmp=tmp_path, iq=first_iq(tiny_dataset_dir), ds=tiny_dataset_dir)
-        argv = [a.format(**fill) for a in argv]
-        if how == "option":
-            head = ["--seed", "-1"]
-        else:
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps({"seed": -1}))
-            head = ["--config", str(cfg)]
-        assert main(head + argv) == 2
-        assert "--seed" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == ([cfg] if how == "config" else [])
+        assert_global_option_rejected("seed", -1, argv, how, tiny_dataset_dir, tmp_path, capsys)
+
+
+class TestJobs:
+    @pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("how", ["option", "config"])
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_nonpositive_jobs_is_config_error(
+        self, argv, how, jobs, tiny_dataset_dir, tmp_path, capsys
+    ):
+        assert_global_option_rejected("jobs", jobs, argv, how, tiny_dataset_dir, tmp_path, capsys)
 
 
 class TestSpectrogram:
@@ -112,6 +129,25 @@ class TestSpectrogram:
 
     def test_missing_input_is_data_error(self, tmp_path):
         assert main(["spectrogram", "--in", str(tmp_path / "nope.iq")]) == 3
+
+    @pytest.mark.parametrize("value", ["0", "-0.0", "-25", "nan", "inf", "-inf"])
+    def test_bad_dyn_range_is_config_error_before_input(self, tmp_path, capsys, value):
+        """The input does not exist, so exit 2 shows the range is checked
+        before the record is read."""
+        rc = main(
+            [
+                "spectrogram",
+                "--in", str(tmp_path / "absent.iq"),
+                "--out", str(tmp_path / "s.pgm"),
+                "--matrix", str(tmp_path / "s.csv"),
+                f"--dyn-range={value}",
+            ]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "--dyn-range" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSegment:

@@ -23,7 +23,6 @@ from mdgest.harness import (
 )
 from mdgest.classify import pairwise_distances, svm_predict
 from mdgest.simulate import STREAM_KMEANS, STREAM_SPLIT, STREAM_SVM, GestureLabel, IQRecord
-from mdgest.subspace import project
 from conftest import make_records
 from test_classify import emd_lp_oracle, fit_svm_oracle, mhd_oracle
 from test_subspace import image_like, svd_oracle
@@ -239,7 +238,7 @@ class TestExtractFeatures:
 
     def count_transforms(self, monkeypatch):
         """Every ``tfr.stft_power`` call as (kind, columns): "full" when it
-        runs inside ``tfr.spectrogram``, "edge" when it runs alone."""
+        runs inside ``tfr.spectrogram``, "direct" when it runs alone."""
         calls, inside = [], []
         real_spectrogram, real_stft = tfr.spectrogram, tfr.stft_power
 
@@ -252,7 +251,7 @@ class TestExtractFeatures:
 
         def stft_power(*args, **kwargs):
             spec = real_stft(*args, **kwargs)
-            calls.append(("full" if inside else "edge", spec.n_cols))
+            calls.append(("full" if inside else "direct", spec.n_cols))
             return spec
 
         monkeypatch.setattr(tfr, "spectrogram", spectrogram)
@@ -269,25 +268,21 @@ class TestExtractFeatures:
         return segmentation.cut_span(record, burst, record.duration_s)[0]
 
     def expected_transforms(self, record, pipe):
-        """One full STFT; recentring a burst adds a second full one off the hop
-        grid, and on it a transform of the frames across the record's
-        edge alone (none when the cut starts at sample 0)."""
+        """One full STFT.  Recentring a burst adds one direct transform of
+        the cut frames that touch the record but are not record frames on
+        the hop grid, counted frame by frame; a cut at sample 0 has none."""
         n = tfr.spectrogram(record, pipe.stft).n_cols
         start = self.cut_start(record, pipe) if pipe.recenter else None
         if start is None:
             return [("full", n)]
-        if start % pipe.stft.hop:
-            return [("full", n), ("full", n)]
-        return [("full", n)] + ([("edge", None)] if start else [])
-
-    def assert_transforms(self, seen, want, pipe):
-        assert [kind for kind, _ in seen] == [kind for kind, _ in want]
-        edge_max = -(-pipe.stft.window_len // pipe.stft.hop) - 1
-        for (kind, cols), (_, n) in zip(seen, want):
-            if kind == "full":
-                assert cols == n
-            else:
-                assert 0 < cols <= edge_max
+        size, w, hop = len(record.samples), pipe.stft.window_len, pipe.stft.hop
+        direct = 0
+        for j in range(n):
+            lo = start + j * hop
+            on_grid_inside = start % hop == 0 and lo >= 0 and lo + w <= size
+            if lo + w > 0 and lo < size and not on_grid_inside:
+                direct += 1
+        return [("full", n)] + ([("direct", direct)] if direct else [])
 
     def test_trajectory_only_request_skips_recentring(self, twelve_records, monkeypatch):
         records = twelve_records[:3]
@@ -312,10 +307,10 @@ class TestExtractFeatures:
         ids=["recentred", "no-recenter", "no-burst"],
     )
     def test_spectrograms_per_record(self, twelve_records, monkeypatch, source, recenter):
-        """One full band STFT a record.  Recentring a burst adds a second
-        full one when the cut is off the hop grid, and only a transform of
-        the frames across the record's edge when it is on the grid; a
-        steady tone has no burst to cut."""
+        """One full band STFT a record.  Recentring a burst adds one direct
+        transform: of every frame that touches the record when the cut is
+        off the hop grid, and only of the frames across the record's edge
+        when it is on the grid; a steady tone has no burst to cut."""
         pipe = PipelineConfig(recenter=recenter)
         if source == "tone":
             t = np.arange(64_000) / 12_800.0
@@ -326,7 +321,14 @@ class TestExtractFeatures:
             starts = [self.cut_start(r, pipe) for r in twelve_records]
             on = next(i for i, s in enumerate(starts) if s and s % pipe.stft.hop == 0)
             off = next(i for i, s in enumerate(starts) if s % pipe.stft.hop)
-            records = [twelve_records[on], twelve_records[off]]
+            # A cut that starts a window or more outside the record has
+            # frames wholly in its padding, which no transform may take.
+            far = next(
+                i
+                for i, s in enumerate(starts)
+                if s % pipe.stft.hop and abs(s) > pipe.stft.window_len
+            )
+            records = [twelve_records[i] for i in (on, off, far)]
         else:
             records = twelve_records[:1]
         kinds = ("envelope", "empirical", "pca-envimg")
@@ -335,7 +337,7 @@ class TestExtractFeatures:
             assert len(want) == (2 if source == "gesture" and recenter else 1)
             seen = self.count_transforms(monkeypatch)
             extract_features([record], pipe, kinds=kinds)
-            self.assert_transforms(seen, want, pipe)
+            assert seen == want
             monkeypatch.undo()
 
     def test_mixed_request_still_recentres_for_envelope(self, twelve_records, monkeypatch):
@@ -347,7 +349,7 @@ class TestExtractFeatures:
         assert len(want) > len(records)  # at least one record recentres
         calls = self.count_transforms(monkeypatch)
         both = extract_features(records, pipe, kinds=("trajectory", "envelope"))
-        self.assert_transforms(calls, want, pipe)
+        assert calls == want
         np.testing.assert_array_equal(both["envelope"].vectors, alone.vectors)
         np.testing.assert_array_equal(both["trajectory"].vectors, traj.vectors)
 
@@ -529,7 +531,7 @@ class TestEvaluatePca:
     """The pca-* predictor works from one Gram matrix per table, whether
     the rows have more dims than a trial has train rows or fewer; either
     way every trial's predictions must equal a thin SVD of that trial's
-    centred train rows, ``project`` and a plain 1-NN.  For nn-emd, which sees signs,
+    centred train rows, its projection and a plain 1-NN.  For nn-emd, which sees signs,
     the oracle orients each component so that its largest-magnitude
     train coefficient is positive."""
 
@@ -539,7 +541,7 @@ class TestEvaluatePca:
         tr, te = split(table.labels, self.proto, trial)
         x = np.asarray(table.vectors, float)
         model = svd_oracle(x[tr], d)
-        ztr, zte = project(model, x[tr]), project(model, x[te])
+        ztr, zte = (x[tr] - model.mean) @ model.basis, (x[te] - model.mean) @ model.basis
         if classifier == "nn-emd":
             top = ztr[np.abs(ztr).argmax(axis=0), np.arange(d)]
             ztr, zte = ztr * np.sign(top), zte * np.sign(top)

@@ -343,10 +343,8 @@ class TestRecentre:
         iv = MotionInterval(mid_s - 0.001, mid_s + 0.001)
         assert cut_span(rec, iv, rec.duration_s)[0] == start
 
-        cut, got = recentre(rec, spectrogram(rec, cfg, band_hz), iv, cfg, band_hz)
-        want_cut = window(rec, iv, rec.duration_s)
-        want = spectrogram(want_cut, cfg, band_hz)
-        np.testing.assert_array_equal(cut.samples, want_cut.samples)
+        got = recentre(rec, spectrogram(rec, cfg, band_hz), iv, cfg, band_hz)
+        want = spectrogram(window(rec, iv, rec.duration_s), cfg, band_hz)
         assert got.power.dtype == want.power.dtype
         assert got.power.shape == want.power.shape
         assert got.power.strides == want.power.strides

@@ -12,7 +12,6 @@ from mdgest.subspace import (
     fit_pca,
     gram,
     gram_pca,
-    project,
     similarity,
     similarity_table,
 )
@@ -81,8 +80,8 @@ class TestPcaOracle:
         np.testing.assert_allclose(got.mean, want.mean, rtol=0, atol=1e-15)
         s = want.singular_values
         np.testing.assert_allclose(got.singular_values[:d], s, rtol=0, atol=1e-12 * s[0])
-        z_got = project(got, x)
-        z_want = project(want, x)
+        z_got = (x - got.mean) @ got.basis
+        z_want = (x - want.mean) @ want.basis
         scale = np.abs(z_want).max()
         np.testing.assert_allclose(z_got * signs(z_got, z_want), z_want, rtol=0, atol=COEF_RTOL * scale)
 
@@ -109,8 +108,8 @@ class TestPcaOracle:
         np.testing.assert_allclose(
             span_cosines(got.basis[:, :rank], want.basis[:, :rank]), 1.0, atol=SPAN_TOL
         )
-        z_got = project(got, x)[:, :rank]
-        z_want = project(want, x)[:, :rank]
+        z_got = ((x - got.mean) @ got.basis)[:, :rank]
+        z_want = ((x - want.mean) @ want.basis)[:, :rank]
         np.testing.assert_allclose(
             z_got * signs(z_got, z_want), z_want, rtol=0, atol=COEF_RTOL * np.abs(z_want).max()
         )
@@ -118,13 +117,14 @@ class TestPcaOracle:
 
 def svd_coefficients(x_train, x_test, d):
     """The thin-SVD route to ``gram_pca``'s coefficients: ``fit_pca`` of
-    the train rows and ``project``, with components whose eigenvalue is
+    the train rows and its projection, with components whose eigenvalue is
     below 1e-12 of the largest zeroed and each component turned so that
     its largest-magnitude train coefficient is positive."""
     model = fit_pca(x_train, d)
     lam = model.singular_values[:d] ** 2
     keep = lam > 1e-12 * lam[0]
-    ztr, zte = project(model, x_train) * keep, project(model, x_test) * keep
+    ztr = (x_train - model.mean) @ model.basis * keep
+    zte = (x_test - model.mean) @ model.basis * keep
     top = ztr[np.abs(ztr).argmax(axis=0), np.arange(ztr.shape[1])]
     flip = np.where(top < 0, -1.0, 1.0)
     return ztr * flip, zte * flip
@@ -142,8 +142,8 @@ ROUTES = ["gram", "svd"]
 
 class TestPcaCoefficients:
     """``gram_pca`` (method of snapshots) and the thin SVD of the train
-    rows (``fit_pca`` and ``project``) must both equal ``project`` onto
-    the oracle's basis, up to one orientation they share."""
+    rows (``fit_pca`` and its projection) must both equal the projection
+    onto the oracle's basis, up to one orientation they share."""
 
     def split(self, m, seed=23):
         perm = np.random.default_rng(seed).permutation(m)
@@ -151,7 +151,7 @@ class TestPcaCoefficients:
 
     def oracle(self, x, tr, te, d):
         model = svd_oracle(x[tr], d)
-        return project(model, np.asarray(x[tr], float)), project(model, np.asarray(x[te], float))
+        return (x[tr] - model.mean) @ model.basis, (x[te] - model.mean) @ model.basis
 
     @pytest.mark.parametrize("route", ROUTES)
     @pytest.mark.parametrize("shape", [(84, 2500), (300, 200)], ids=["m<q", "m>q"])
@@ -241,7 +241,7 @@ class TestPca:
         rng = np.random.default_rng(1)
         x = rng.normal(size=(12, 30))
         model = fit_pca(x, d=11)
-        z = project(model, x)
+        z = (x - model.mean) @ model.basis
         for i in range(12):
             for j in range(i + 1, 12):
                 orig = np.linalg.norm(x[i] - x[j])
@@ -261,15 +261,6 @@ class TestPca:
         best = resid(model.basis)
         for _ in range(10):
             assert best <= resid(random_subspace(rng, 25, d).basis) + 1e-9
-
-    def test_project_shapes(self):
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(9, 7))
-        model = fit_pca(x, d=4)
-        assert project(model, x[0]).shape == (4,)
-        assert project(model, x).shape == (9, 4)
-        with pytest.raises(ValueError):
-            project(model, np.zeros(8))
 
     def test_sign_convention_and_determinism(self):
         rng = np.random.default_rng(4)

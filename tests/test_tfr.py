@@ -138,8 +138,8 @@ class TestBlockedBandStft:
             return np.round(100.0 * rng.standard_normal(n)).astype(dtype)
         return (scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))).astype(dtype)
 
-    # Real input keeps a real block buffer: scipy transforms it by its
-    # real-input path, whose bits a complex copy would not reproduce.
+    # Real input takes scipy's real-input path, whose bits a complex copy
+    # would not reproduce.
     @pytest.mark.parametrize(
         "n, dtype",
         [
