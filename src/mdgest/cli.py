@@ -51,6 +51,8 @@ def _load_dataset(path: str) -> simulate.Dataset:
         raise DataError(f"corrupt dataset manifest: {e}") from e
     except ValueError as e:
         raise DataError(f"corrupt dataset: {e}") from e
+    if not ds.records:
+        raise DataError(f"dataset {path} lists no records")
     window = tfr.StftConfig().window_len
     for rec in ds.records:
         if len(rec.samples) < window:
@@ -251,14 +253,32 @@ def _cmd_report(args) -> int:
         raise DataError(f"no such report: {path}")
     try:
         payload = json.loads(path.read_text())
-        labels = payload["labels"]
-        percent = payload["percent"]
-        overall = payload["overall_accuracy"]
-    except (json.JSONDecodeError, KeyError) as e:
+    except json.JSONDecodeError as e:
         raise DataError(f"corrupt report file: {e}") from e
+    if not isinstance(payload, dict):
+        raise DataError("corrupt report file: not a JSON object")
+    missing = {"labels", "percent", "overall_accuracy"} - payload.keys()
+    if missing:
+        raise DataError(f"corrupt report file: no {', '.join(sorted(missing))}")
+    labels, percent, overall = payload["labels"], payload["percent"], payload["overall_accuracy"]
+    if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
+        raise DataError("corrupt report file: labels must be a list of strings")
+    if not (
+        isinstance(percent, list)
+        and len(percent) == len(labels)
+        and all(isinstance(row, list) and len(row) == len(labels) for row in percent)
+        and all(_is_number(v) for row in percent for v in row)
+    ):
+        raise DataError("corrupt report file: percent must be a labels x labels matrix of numbers")
+    if not _is_number(overall):
+        raise DataError("corrupt report file: overall_accuracy must be a number")
     harness.write_confusion_csv(args.out, labels, percent, overall)
     print(f"wrote {args.out}")
     return 0
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _add_iq_input(q: argparse.ArgumentParser):

@@ -162,6 +162,8 @@ def segment_record(
 
 def cut_span(record: IQRecord, interval: MotionInterval, duration_s: float) -> tuple[int, int]:
     """First record sample and sample count of the slice ``window`` cuts."""
+    if interval.end_s <= 0 or interval.start_s >= len(record.samples) / record.sample_rate_hz:
+        raise ValueError("interval lies outside the record")
     n_out = int(round(duration_s * record.sample_rate_hz))
     return int(round(interval.mid_s * record.sample_rate_hz - n_out / 2)), n_out
 
@@ -173,16 +175,8 @@ def window(record: IQRecord, interval: MotionInterval, duration_s: float = 5.0) 
     record; label and provenance carry over, and any ground-truth active
     span is shifted into the new time base.
     """
-    n_total = len(record.samples)
-    rec_dur = n_total / record.sample_rate_hz
-    if interval.end_s <= 0 or interval.start_s >= rec_dur:
-        raise ValueError("interval lies outside the record")
     start, n_out = cut_span(record, interval, duration_s)
-    out = np.zeros(n_out, dtype=record.samples.dtype)
-    src_lo = max(start, 0)
-    src_hi = min(start + n_out, n_total)
-    if src_lo < src_hi:
-        out[src_lo - start : src_hi - start] = record.samples[src_lo:src_hi]
+    out = _padded(record.samples, start, start + n_out)
     active = None
     if record.active_s is not None:
         shift = start / record.sample_rate_hz
@@ -200,6 +194,15 @@ def window(record: IQRecord, interval: MotionInterval, duration_s: float = 5.0) 
     )
 
 
+def _padded(samples: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """samples[lo:hi] for any lo < hi, zero where it lies past either end."""
+    out = np.zeros(hi - lo, dtype=samples.dtype)
+    src_lo, src_hi = max(lo, 0), min(hi, len(samples))
+    if src_lo < src_hi:
+        out[src_lo - lo : src_hi - lo] = samples[src_lo:src_hi]
+    return out
+
+
 def recentre(
     record: IQRecord,
     spec: Spectrogram,
@@ -214,21 +217,22 @@ def recentre(
     frame inside the record is record column j + k and is copied (the
     hop-shift identity of the short-time transform).  The other frames
     that touch the record, one run on the side the cut pads, are
-    transformed; a frame wholly in the zero padding has zero power.  The
-    result has the bits of ``spectrogram(cut, cfg, band_hz)``.
+    transformed straight into their columns; a frame wholly in the zero
+    padding has zero power.  The result has the bits of
+    ``spectrogram(cut, cfg, band_hz)``.
     """
-    cut = window(record, interval, record.duration_s)
+    n_samples = len(record.samples)
     start, _ = cut_span(record, interval, record.duration_s)
     n, hop, w = spec.n_cols, cfg.hop, cfg.window_len
     first = start + hop * np.arange(n)  # each cut frame's first record sample
-    copied = (first >= 0) & (first + w <= len(record.samples)) & (start % hop == 0)
+    copied = (first >= 0) & (first + w <= n_samples) & (start % hop == 0)
     cols = np.zeros_like(spec.power.T)  # (columns x rows), as stft_power lays it out
     a, b = _run(copied)
     cols[a:b] = spec.power.T[a + start // hop : b + start // hop]
-    a, b = _run((first + w > 0) & (first < len(record.samples)) & ~copied)
+    a, b = _run((first + w > 0) & (first < n_samples) & ~copied)
     if a < b:
-        x = cut.samples[a * hop : (b - 1) * hop + w]
-        cols[a:b] = tfr.stft_power(x, record.sample_rate_hz, cfg, band_hz).power.T
+        x = _padded(record.samples, first[a], first[b - 1] + w)
+        tfr._band_power(x, record.sample_rate_hz, cfg, band_hz, out=cols[a:b])
     return Spectrogram(cols.T, spec.time_s, spec.freq_hz)
 
 

@@ -455,15 +455,23 @@ class Dataset:
     def load(cls, directory: str | Path) -> "Dataset":
         """Read a dataset written by ``save``.
 
-        Raises ``ValueError`` for a record whose sample count differs from
-        the manifest's duration times sample rate, or that holds a
-        non-finite sample.
+        Raises ``ValueError`` for a manifest that is not an object whose
+        ``records`` is a list of objects, and for a record whose sample
+        count differs from the manifest's duration times sample rate, or
+        that holds a non-finite sample.
         """
         directory = Path(directory)
         meta_path = directory / "meta.json"
         if not meta_path.exists():
             raise FileNotFoundError(f"no manifest at {meta_path}")
         meta = json.loads(meta_path.read_text())
+        if not isinstance(meta, dict):
+            raise ValueError(f"{meta_path} does not hold a JSON object")
+        if not (
+            isinstance(meta.get("records"), list)
+            and all(isinstance(entry, dict) for entry in meta["records"])
+        ):
+            raise ValueError(f"{meta_path}: records must be a list of objects")
         fs = meta.get("sample_rate_hz", 12800.0)
         dur = meta.get("duration_s", 5.0)
         ds = cls(records=[], sample_rate_hz=fs, duration_s=dur)

@@ -5,10 +5,13 @@ output, optionally limited to the rows that cover a band [-B, +B].
 Rows ascend in frequency from -fs/2 (or about -B) toward +fs/2 (or
 about +B); column n covers samples [n*hop, n*hop + window_len) and is
 stamped with the window-center time.  A band of complex samples comes
-from hop-block DFTs, which feature extraction uses; full-band output,
-real samples and other windows come from a zero-padded FFT
-(``scipy.fft.fft``, in single precision for single-precision samples).
-``_block_form`` picks the path.
+from hop-block DFTs, which feature extraction uses: a matrix product
+and a radix-2 combine, run in cache-sized chunks of columns and written
+straight into the power.  Full-band output, real samples and other
+windows come from a zero-padded FFT (``scipy.fft.fft``, in single
+precision for single-precision samples).  ``_block_form`` picks the
+path; ``_band_power`` applies it for ``stft_power`` and for recentring's
+in-place partial transform.
 """
 
 from __future__ import annotations
@@ -23,6 +26,10 @@ from .simulate import IQRecord
 
 # Columns per FFT call: a (64, 4096) complex64 block is 2 MB.
 _BLOCK_COLS = 64
+# Output columns per hop-block chunk: with its 15 overlapping blocks, a
+# chunk of the default 411-row band is 470 KB of complex64 per buffer, so
+# the product, the combine and the power stay in a 2 MB L2 cache.
+_CHUNK_COLS = 128
 
 
 @dataclass(frozen=True)
@@ -104,38 +111,87 @@ def _block_twiddles(cfg: StftConfig, lo: int, hi: int, dtype: np.dtype):
     return dft, tuple(steps)
 
 
-def _block_power(x: np.ndarray, cfg: StftConfig, lo: int, hi: int, n_cols: int) -> np.ndarray:
-    """(columns x rows) power of the band rows lo..hi, from hop blocks.
+def _block_power(x: np.ndarray, cfg: StftConfig, lo: int, hi: int, out: np.ndarray) -> None:
+    """Write the (columns x rows) power of the band rows lo..hi into ``out``.
 
     A frame is window_len / hop consecutive hop blocks, so its DFT at bin
     k is the sum of their DFTs, block b turned by exp(-2 pi i k b hop / N)
-    (the hop-shift identity).  One matrix product gives every block's
-    band bins; a radix-2 combine, X[i] + X[i + s] * t**s for
-    s = 1, 2, 4, ..., sums them into frames.  Every value depends only on
-    its own frame's samples.
+    (the hop-shift identity).  A matrix product gives every block's band
+    bins; a radix-2 combine, X[i] + X[i + s] * t**s for s = 1, 2, 4, ...,
+    sums them into frames.  Both run on ``_CHUNK_COLS`` columns at a
+    time, with the chunk's overlapping blocks, in two reused buffers that
+    stay in cache.  Every value depends only on its own frame's samples
+    and keeps the arithmetic of a whole-array product and combine.
     """
     dft, steps = _block_twiddles(cfg, lo, hi, x.dtype)
-    n_blocks = n_cols + cfg.window_len // cfg.hop - 1
-    acc = x[: n_blocks * cfg.hop].reshape(n_blocks, cfg.hop) @ dft
-    for s, twiddle in steps:
-        acc = acc[:-s] + acc[s:] * twiddle
-    power = acc.real**2
-    power += acc.imag**2
-    return power
+    span, hop = cfg.window_len // cfg.hop, cfg.hop
+    n_cols = len(out)
+    shape = (min(n_cols, _CHUNK_COLS) + span - 1, hi - lo + 1)
+    acc, turned = np.empty(shape, x.dtype), np.empty(shape, x.dtype)
+    scratch = turned.reshape(-1).view(out.dtype)  # real squares, in turned's memory
+    for c0 in range(0, n_cols, _CHUNK_COLS):
+        c1 = min(c0 + _CHUNK_COLS, n_cols)
+        m = c1 - c0 + span - 1  # the chunk's blocks
+        np.matmul(x[c0 * hop : (c0 + m) * hop].reshape(m, hop), dft, out=acc[:m])
+        for s, twiddle in steps:
+            m -= s
+            np.multiply(acc[s : m + s], twiddle, out=turned[:m])
+            np.add(acc[:m], turned[:m], out=acc[:m])
+        power = out[c0:c1]
+        np.square(acc[:m].real, out=power)
+        square = np.square(acc[:m].imag, out=scratch[: power.size].reshape(power.shape))
+        power += square
 
 
-def _fft_power(x: np.ndarray, cfg: StftConfig, bins: np.ndarray, n_cols: int) -> np.ndarray:
+def _fft_power(
+    x: np.ndarray, cfg: StftConfig, bins: np.ndarray, n_cols: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """(columns x rows) power of the given FFT bins, ``_BLOCK_COLS``
-    zero-padded frames per FFT call."""
+    zero-padded frames per FFT call, written into ``out`` when given."""
     frames = np.lib.stride_tricks.sliding_window_view(x, cfg.window_len)[:: cfg.hop]
-    power = None
     for c0 in range(0, n_cols, _BLOCK_COLS):
         spec = scipy.fft.fft(frames[c0 : c0 + _BLOCK_COLS], n=cfg.fft_size, axis=1)
         mag = np.abs(spec[:, bins])
-        if power is None:
-            power = np.empty((n_cols, len(bins)), dtype=mag.dtype)
-        np.square(mag, out=power[c0 : c0 + len(mag)])
-    return power
+        if out is None:
+            out = np.empty((n_cols, len(bins)), dtype=mag.dtype)
+        np.square(mag, out=out[c0 : c0 + len(mag)])
+    return out
+
+
+def _band_power(
+    x: np.ndarray,
+    sample_rate_hz: float,
+    cfg: StftConfig,
+    band_hz: float | None,
+    out: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``stft_power``'s (columns x rows) power and row frequencies.
+
+    The power is written into ``out`` when it is given: a (columns x
+    rows) array, or a slice of rows of one, of the dtype ``stft_power``
+    returns for ``x``.
+    """
+    x = np.asarray(x)
+    if x.ndim != 1:
+        raise ValueError("expected a 1-D sample array")
+    if len(x) < cfg.window_len:
+        raise ValueError("segment shorter than the analysis window")
+    freq = np.fft.fftshift(np.fft.fftfreq(cfg.fft_size, d=1.0 / sample_rate_hz))
+    lo, hi = 0, len(freq) - 1
+    if band_hz is not None:
+        if band_hz < 0:
+            raise ValueError("band must be non-negative")
+        lo = max(int(np.searchsorted(freq, -band_hz, side="right")) - 1, 0)
+        hi = min(int(np.searchsorted(freq, band_hz, side="left")), len(freq) - 1)
+    n_cols = (len(x) - cfg.window_len) // cfg.hop + 1
+    if _block_form(x, cfg, band_hz):
+        if out is None:
+            out = np.empty((n_cols, hi - lo + 1), x.real.dtype)
+        _block_power(x, cfg, lo, hi, out)
+    else:
+        bins = np.fft.fftshift(np.arange(cfg.fft_size))[lo : hi + 1]  # FFT bin of each row
+        out = _fft_power(x, cfg, bins, n_cols, out)
+    return out, freq[lo : hi + 1]
 
 
 def stft_power(
@@ -155,26 +211,9 @@ def stft_power(
     matches it to float rounding.  The power matrix is the transpose of
     a (columns x rows) array.
     """
-    x = np.asarray(x)
-    if x.ndim != 1:
-        raise ValueError("expected a 1-D sample array")
-    if len(x) < cfg.window_len:
-        raise ValueError("segment shorter than the analysis window")
-    freq = np.fft.fftshift(np.fft.fftfreq(cfg.fft_size, d=1.0 / sample_rate_hz))
-    lo, hi = 0, len(freq) - 1
-    if band_hz is not None:
-        if band_hz < 0:
-            raise ValueError("band must be non-negative")
-        lo = max(int(np.searchsorted(freq, -band_hz, side="right")) - 1, 0)
-        hi = min(int(np.searchsorted(freq, band_hz, side="left")), len(freq) - 1)
-    n_cols = (len(x) - cfg.window_len) // cfg.hop + 1
-    if _block_form(x, cfg, band_hz):
-        power = _block_power(x, cfg, lo, hi, n_cols)
-    else:
-        bins = np.fft.fftshift(np.arange(cfg.fft_size))[lo : hi + 1]  # FFT bin of each row
-        power = _fft_power(x, cfg, bins, n_cols)
-    time = (cfg.hop * np.arange(n_cols) + cfg.window_len / 2.0) / sample_rate_hz
-    return Spectrogram(power.T, time, freq[lo : hi + 1])
+    power, freq = _band_power(x, sample_rate_hz, cfg, band_hz)
+    time = (cfg.hop * np.arange(len(power)) + cfg.window_len / 2.0) / sample_rate_hz
+    return Spectrogram(power.T, time, freq)
 
 
 def spectrogram(

@@ -381,6 +381,26 @@ class TestShortRecords:
         assert not out.exists()
 
 
+class TestBadManifest:
+    @pytest.mark.parametrize(
+        "manifest",
+        [[1, 2], "records", {"records": "x"}, {"records": [1]}, {"records": [{}, None]}, {"records": []}, {}],
+        ids=["list", "string", "records-string", "records-of-numbers", "records-with-null", "no-records", "no-key"],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [["eval", "--trials", "2"], ["features", "--kind", "empirical"], ["similarity", "--d", "2"]],
+        ids=["eval", "features", "similarity"],
+    )
+    def test_bad_manifest_is_data_error(self, tmp_path, capsys, command, manifest):
+        (tmp_path / "meta.json").write_text(json.dumps(manifest))
+        out = tmp_path / "out"
+        flag = "--out-json" if command[0] == "eval" else "--out"
+        assert main([*command, "--in", str(tmp_path), flag, str(out)]) == 3
+        assert "data error" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def rejected_by(convert):
     def rejected(text):
         try:
@@ -553,3 +573,49 @@ class TestReport:
         bad.write_text('{"labels": ["a"]}')
         rc = main(["report", "--in", str(bad), "--out", str(tmp_path / "x")])
         assert rc == 3
+
+    GOOD = {"labels": ["a", "b"], "percent": [[90.0, 10.0], [0, 100]], "overall_accuracy": 95.0}
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [1, 2],
+            {**GOOD, "labels": "ab"},
+            {**GOOD, "labels": ["a", 2]},
+            {**GOOD, "percent": 5},
+            {**GOOD, "percent": [[90.0, 10.0]]},
+            {**GOOD, "percent": [[90.0, 10.0], [100.0]]},
+            {**GOOD, "percent": [[90.0, "10"], [0.0, 100.0]]},
+            {**GOOD, "percent": [[90.0, True], [0.0, 100.0]]},
+            {**GOOD, "percent": [[90.0, 10.0], 5]},
+            {**GOOD, "overall_accuracy": "x"},
+            {**GOOD, "overall_accuracy": None},
+        ],
+        ids=[
+            "list",
+            "labels-string",
+            "label-number",
+            "percent-number",
+            "percent-short",
+            "percent-ragged",
+            "percent-string",
+            "percent-bool",
+            "percent-row-number",
+            "overall-string",
+            "overall-null",
+        ],
+    )
+    def test_malformed_payload_is_data_error_with_no_output(self, tmp_path, capsys, payload):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        out = tmp_path / "out.csv"
+        assert main(["report", "--in", str(bad), "--out", str(out)]) == 3
+        assert "corrupt report file" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_well_formed_payload_renders(self, tmp_path):
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(self.GOOD))
+        out = tmp_path / "out.csv"
+        assert main(["report", "--in", str(good), "--out", str(out)]) == 0
+        assert out.read_text() == ",a,b\na,90.00,10.00\nb,0.00,100.00\noverall,95.00\n"

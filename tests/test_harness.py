@@ -237,10 +237,12 @@ class TestExtractFeatures:
         )
 
     def count_transforms(self, monkeypatch):
-        """Every ``tfr.stft_power`` call as (kind, columns): "full" when it
-        runs inside ``tfr.spectrogram``, "direct" when it runs alone."""
+        """Every ``tfr._band_power`` call, the transform behind
+        ``tfr.stft_power`` and recentring's partial one, as (kind,
+        columns): "full" when it runs inside ``tfr.spectrogram``, "direct"
+        when it runs alone."""
         calls, inside = [], []
-        real_spectrogram, real_stft = tfr.spectrogram, tfr.stft_power
+        real_spectrogram, real_power = tfr.spectrogram, tfr._band_power
 
         def spectrogram(*args, **kwargs):
             inside.append(1)
@@ -249,13 +251,13 @@ class TestExtractFeatures:
             finally:
                 inside.pop()
 
-        def stft_power(*args, **kwargs):
-            spec = real_stft(*args, **kwargs)
-            calls.append(("full" if inside else "direct", spec.n_cols))
-            return spec
+        def band_power(*args, **kwargs):
+            power, freq = real_power(*args, **kwargs)
+            calls.append(("full" if inside else "direct", len(power)))
+            return power, freq
 
         monkeypatch.setattr(tfr, "spectrogram", spectrogram)
-        monkeypatch.setattr(tfr, "stft_power", stft_power)
+        monkeypatch.setattr(tfr, "_band_power", band_power)
         return calls
 
     @staticmethod

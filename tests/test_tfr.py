@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,10 @@ from hypothesis import given, settings, strategies as st
 from mdgest.simulate import IQRecord
 from mdgest.tfr import (
     _BLOCK_COLS,
+    _CHUNK_COLS,
     _block_form,
+    _block_power,
+    _block_twiddles,
     GrayImage,
     Spectrogram,
     StftConfig,
@@ -259,6 +263,83 @@ class TestBlockedBandStft:
         assert np.all(np.diff(spec.freq_hz) > 0)
         with pytest.raises(ValueError, match="non-negative"):
             stft_power(self.signal(4096), FS, StftConfig(), -1.0)
+
+
+def whole_block_power(x, cfg, lo, hi, n_cols):
+    """The hop-block power as one whole-array product and combine, a new
+    array per level: the arithmetic the chunked path must keep."""
+    dft, steps = _block_twiddles(cfg, lo, hi, x.dtype)
+    n_blocks = n_cols + cfg.window_len // cfg.hop - 1
+    acc = x[: n_blocks * cfg.hop].reshape(n_blocks, cfg.hop) @ dft
+    for s, twiddle in steps:
+        acc = acc[:-s] + acc[s:] * twiddle
+    power = acc.real**2
+    power += acc.imag**2
+    return power
+
+
+class TestBlockChunks:
+    """The chunked hop-block path has the bytes of the whole-array one."""
+
+    LO, HI = 1843, 2253  # the default 640 Hz band of a 4096-bin STFT
+
+    def signal(self, n_cols, dtype, seed, extra=0):
+        cfg = StftConfig()
+        n = cfg.window_len + cfg.hop * (n_cols - 1) + extra
+        rng = np.random.Generator(np.random.PCG64(seed))
+        return (rng.standard_normal(n) + 1j * rng.standard_normal(n)).astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    @pytest.mark.parametrize(
+        "n_cols, extra",
+        [
+            (1, 0),
+            (_CHUNK_COLS - 1, 0),
+            (_CHUNK_COLS, 0),
+            (_CHUNK_COLS + 1, 0),
+            (2 * _CHUNK_COLS + 5, 0),
+            (2 * _CHUNK_COLS + 5, 77),  # a ragged tail of samples no frame reaches
+        ],
+    )
+    def test_chunks_keep_the_whole_array_bytes(self, n_cols, extra, dtype):
+        cfg = StftConfig()
+        x = self.signal(n_cols, dtype, seed=n_cols + extra, extra=extra)
+        want = whole_block_power(x, cfg, self.LO, self.HI, n_cols)
+        out = np.empty_like(want)
+        _block_power(x, cfg, self.LO, self.HI, out)
+        assert out.tobytes() == want.tobytes()
+        spec = stft_power(x, FS, cfg, 640.0)
+        assert spec.freq_hz.size == self.HI - self.LO + 1
+        assert spec.power.T.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_writes_only_its_slice_of_a_larger_array(self, dtype):
+        """As recentring writes a partial transform into its columns."""
+        cfg = StftConfig()
+        n_cols = _CHUNK_COLS + 9
+        x = self.signal(n_cols, dtype, seed=11)
+        want = whole_block_power(x, cfg, self.LO, self.HI, n_cols)
+        big = np.full((n_cols + 40, want.shape[1]), -1.0, want.dtype)
+        _block_power(x, cfg, self.LO, self.HI, big[17 : 17 + n_cols])
+        assert big[17 : 17 + n_cols].tobytes() == want.tobytes()
+        assert np.all(big[:17] == -1.0) and np.all(big[17 + n_cols :] == -1.0)
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_working_memory_below_the_whole_product(self, dtype):
+        """One default band STFT of a 5 s record holds less working memory
+        than the whole (blocks x rows) complex product would."""
+        cfg = StftConfig()
+        x = self.signal(1, dtype, seed=2, extra=64_000 - cfg.window_len)
+        stft_power(x, FS, cfg, 640.0)  # the twiddles are cached after this
+        tracemalloc.start()
+        try:
+            spec = stft_power(x, FS, cfg, 640.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n_blocks = spec.n_cols + cfg.window_len // cfg.hop - 1
+        product = n_blocks * spec.freq_hz.size * np.dtype(dtype).itemsize
+        assert peak - spec.power.nbytes < product, (peak, spec.power.nbytes, product)
 
 
 class TestCropBand:
