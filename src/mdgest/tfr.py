@@ -128,7 +128,7 @@ def _block_power(x: np.ndarray, cfg: StftConfig, lo: int, hi: int, out: np.ndarr
     n_cols = len(out)
     shape = (min(n_cols, _CHUNK_COLS) + span - 1, hi - lo + 1)
     acc, turned = np.empty(shape, x.dtype), np.empty(shape, x.dtype)
-    scratch = turned.reshape(-1).view(out.dtype)  # real squares, in turned's memory
+    spare = turned.reshape(-1).view(out.dtype)  # real squares, in turned's memory
     for c0 in range(0, n_cols, _CHUNK_COLS):
         c1 = min(c0 + _CHUNK_COLS, n_cols)
         m = c1 - c0 + span - 1  # the chunk's blocks
@@ -139,7 +139,7 @@ def _block_power(x: np.ndarray, cfg: StftConfig, lo: int, hi: int, out: np.ndarr
             np.add(acc[:m], turned[:m], out=acc[:m])
         power = out[c0:c1]
         np.square(acc[:m].real, out=power)
-        square = np.square(acc[:m].imag, out=scratch[: power.size].reshape(power.shape))
+        square = np.square(acc[:m].imag, out=spare[: power.size].reshape(power.shape))
         power += square
 
 
