@@ -23,8 +23,16 @@ class DataError(Exception):
     pass
 
 
+def _min_rate_hz() -> float:
+    """The lowest sample rate whose top STFT row, at
+    (fft_size / 2 - 1) * fs / fft_size, reaches the burst-curve band."""
+    pipe = harness.PipelineConfig()
+    n = pipe.stft.fft_size
+    return 2 * pipe.pbc.band_hz * n / (n - 2)
+
+
 def _load_record(path: Path, sample_rate_hz: float) -> simulate.IQRecord:
-    min_rate = 2 * simulate.DOPPLER_BAND_HZ
+    min_rate = _min_rate_hz()
     if not (np.isfinite(sample_rate_hz) and sample_rate_hz >= min_rate):
         raise ConfigError(
             f"--sample-rate must be a finite rate of at least {min_rate:g} Hz, got {sample_rate_hz}"
@@ -53,8 +61,13 @@ def _load_dataset(path: str) -> simulate.Dataset:
         raise DataError(f"corrupt dataset: {e}") from e
     if not ds.records:
         raise DataError(f"dataset {path} lists no records")
-    window = tfr.StftConfig().window_len
+    window, min_rate = tfr.StftConfig().window_len, _min_rate_hz()
     for rec in ds.records:
+        if not rec.sample_rate_hz >= min_rate:
+            raise DataError(
+                f"record {rec.record_id} is sampled at {rec.sample_rate_hz:g} Hz, "
+                f"below the {min_rate:g} Hz the burst-curve band needs"
+            )
         if len(rec.samples) < window:
             raise DataError(
                 f"record {rec.record_id} has {len(rec.samples)} samples, "
@@ -201,7 +214,7 @@ def _cmd_features(args) -> int:
         if args.kind == "empirical":
             fh.write("id,label,event_length_s,extreme_ratio,bandwidth_hz\n")
         else:
-            cols = [f"{n}{i+1}" for i in range(10) for n in ("t", "f", "a")]
+            cols = [f"{n}{i+1}" for i in range(pipe.trajectory_points) for n in ("t", "f", "a")]
             fh.write("id,label," + ",".join(cols) + "\n")
         for rec, row in zip(ds.records, table.vectors):
             vals = ",".join(f"{v:.6f}" for v in row)

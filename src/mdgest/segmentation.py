@@ -67,8 +67,8 @@ def pbc(spec: Spectrogram, cfg: PbcConfig = PbcConfig()) -> np.ndarray:
         raise ValueError("band/axis mismatch: analysis band outside frequency axis")
     neg = (f >= cfg.neg_lo_hz) & (f <= cfg.neg_hi_hz)
     pos = (f >= cfg.pos_lo_hz) & (f <= cfg.pos_hi_hz)
-    sq = spec.power**2
-    return sq[neg].sum(axis=0) + sq[pos].sum(axis=0)
+    p = spec.power
+    return (p[neg] ** 2).sum(axis=0) + (p[pos] ** 2).sum(axis=0)
 
 
 def smooth(x: np.ndarray, win: int) -> np.ndarray:

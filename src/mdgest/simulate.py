@@ -36,7 +36,6 @@ import numpy as np
 SPEED_OF_LIGHT_MS = 3.0e8
 MAX_RADIAL_SPEED_MS = 3.0
 DOPPLER_BAND_HZ = 500.0
-MIN_DOPPLER_HZ = 20.0
 
 # Speeds below this count as rest when locating the motion interval.
 MOTION_SPEED_MS = 1e-3

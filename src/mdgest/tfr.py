@@ -4,14 +4,12 @@ Short-time Fourier transform with a rectangular window and power
 output, optionally limited to the rows that cover a band [-B, +B].
 Rows ascend in frequency from -fs/2 (or about -B) toward +fs/2 (or
 about +B); column n covers samples [n*hop, n*hop + window_len) and is
-stamped with the window-center time.  A band of complex samples comes
-from hop-block DFTs, which feature extraction uses: a matrix product
-and a radix-2 combine, run in cache-sized chunks of columns and written
-straight into the power.  Full-band output, real samples and other
-windows come from a zero-padded FFT (``scipy.fft.fft``, in single
-precision for single-precision samples).  ``_block_form`` picks the
-path; ``_band_power`` applies it for ``stft_power`` and for recentring's
-in-place partial transform.
+stamped with the window-center time.  Every spectrogram comes from
+hop-block DFTs: a matrix product and a radix-2 combine, run in
+cache-sized chunks of columns and written straight into the power.
+The window must therefore be a power-of-two multiple of the hop.
+``_band_power`` computes the rows for ``stft_power`` and for
+recentring's in-place partial transform.
 """
 
 from __future__ import annotations
@@ -20,12 +18,9 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .simulate import IQRecord
 
-# Columns per FFT call: a (64, 4096) complex64 block is 2 MB.
-_BLOCK_COLS = 64
 # Output columns per hop-block chunk: with its 15 overlapping blocks, a
 # chunk of the default 411-row band is 470 KB of complex64 per buffer, so
 # the product, the combine and the power stay in a 2 MB L2 cache.
@@ -43,6 +38,9 @@ class StftConfig:
             raise ValueError("window length and hop must be positive")
         if self.fft_size < self.window_len:
             raise ValueError("FFT size must be at least the window length")
+        span = self.window_len // self.hop
+        if span * self.hop != self.window_len or span & (span - 1):
+            raise ValueError("window length must be a power-of-two multiple of the hop")
 
 
 @dataclass
@@ -67,23 +65,6 @@ class Spectrogram:
         if not keep.any():
             raise ValueError("crop removes every frequency row")
         return Spectrogram(self.power[keep], self.time_s, self.freq_hz[keep])
-
-
-def _block_form(x: np.ndarray, cfg: StftConfig, band_hz: float | None) -> bool:
-    """Whether ``stft_power`` takes the hop-block transform, not the FFT.
-
-    It does for a band of complex64 or complex128 samples whose window is
-    a power-of-two multiple of the hop.  Full-band output, real samples
-    and other windows take the zero-padded FFT, whose bits the test
-    oracles reproduce.
-    """
-    span = cfg.window_len // cfg.hop
-    return (
-        band_hz is not None
-        and x.dtype in (np.complex64, np.complex128)
-        and span * cfg.hop == cfg.window_len
-        and span & (span - 1) == 0
-    )
 
 
 @functools.lru_cache(maxsize=16)
@@ -143,21 +124,6 @@ def _block_power(x: np.ndarray, cfg: StftConfig, lo: int, hi: int, out: np.ndarr
         power += square
 
 
-def _fft_power(
-    x: np.ndarray, cfg: StftConfig, bins: np.ndarray, n_cols: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """(columns x rows) power of the given FFT bins, ``_BLOCK_COLS``
-    zero-padded frames per FFT call, written into ``out`` when given."""
-    frames = np.lib.stride_tricks.sliding_window_view(x, cfg.window_len)[:: cfg.hop]
-    for c0 in range(0, n_cols, _BLOCK_COLS):
-        spec = scipy.fft.fft(frames[c0 : c0 + _BLOCK_COLS], n=cfg.fft_size, axis=1)
-        mag = np.abs(spec[:, bins])
-        if out is None:
-            out = np.empty((n_cols, len(bins)), dtype=mag.dtype)
-        np.square(mag, out=out[c0 : c0 + len(mag)])
-    return out
-
-
 def _band_power(
     x: np.ndarray,
     sample_rate_hz: float,
@@ -176,6 +142,8 @@ def _band_power(
         raise ValueError("expected a 1-D sample array")
     if len(x) < cfg.window_len:
         raise ValueError("segment shorter than the analysis window")
+    real = x.dtype if x.dtype.kind in "fc" else np.float64  # integers read as float64
+    x = x.astype(np.result_type(real, np.complex64), copy=False)
     freq = np.fft.fftshift(np.fft.fftfreq(cfg.fft_size, d=1.0 / sample_rate_hz))
     lo, hi = 0, len(freq) - 1
     if band_hz is not None:
@@ -183,14 +151,9 @@ def _band_power(
             raise ValueError("band must be non-negative")
         lo = max(int(np.searchsorted(freq, -band_hz, side="right")) - 1, 0)
         hi = min(int(np.searchsorted(freq, band_hz, side="left")), len(freq) - 1)
-    n_cols = (len(x) - cfg.window_len) // cfg.hop + 1
-    if _block_form(x, cfg, band_hz):
-        if out is None:
-            out = np.empty((n_cols, hi - lo + 1), x.real.dtype)
-        _block_power(x, cfg, lo, hi, out)
-    else:
-        bins = np.fft.fftshift(np.arange(cfg.fft_size))[lo : hi + 1]  # FFT bin of each row
-        out = _fft_power(x, cfg, bins, n_cols, out)
+    if out is None:
+        out = np.empty(((len(x) - cfg.window_len) // cfg.hop + 1, hi - lo + 1), x.real.dtype)
+    _block_power(x, cfg, lo, hi, out)
     return out, freq[lo : hi + 1]
 
 
@@ -206,10 +169,11 @@ def stft_power(
     [-band_hz, +band_hz]: every row with |f| <= band_hz, plus the next
     row out on a side where band_hz falls between two bins.  Only the
     kept bins are computed or stored, so no full-size spectrum exists at
-    once.  ``_block_form`` picks the transform: the FFT path gives each
-    value the same bits with or without a band, the hop-block path
-    matches it to float rounding.  The power matrix is the transpose of
-    a (columns x rows) array.
+    once.  Real or integer samples are read as complex, in single
+    precision for float16 and float32 and double otherwise; the power
+    has that precision.  Each value depends only on its own frame's
+    samples and its row, and matches the exact STFT to float rounding.
+    The power matrix is the transpose of a (columns x rows) array.
     """
     power, freq = _band_power(x, sample_rate_hz, cfg, band_hz)
     time = (cfg.hop * np.arange(len(power)) + cfg.window_len / 2.0) / sample_rate_hz

@@ -1,11 +1,14 @@
-"""Shared fixtures: a handful of simulated records and a tiny on-disk dataset."""
+"""Shared fixtures: a handful of simulated records, a tiny on-disk
+dataset, and the FFT oracle of the spectrogram."""
 
 import re
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from mdgest.simulate import GestureLabel, SimConfig, Dataset, simulate_record
+from mdgest.tfr import Spectrogram
 
 # One line per acceptance criterion, filled in by tests/test_acceptance.py
 # and echoed after the run so the verdicts are visible at a glance.
@@ -34,6 +37,23 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for num in sorted(ACCEPTANCE_LINES):
         terminalreporter.write_line(ACCEPTANCE_LINES[num])
+
+
+def one_shot_power(x, fs, cfg):
+    """Every column in one zero-padded FFT call, fftshifted: the STFT
+    by another algorithm than ``tfr``'s hop-block transform."""
+    n_cols = (len(x) - cfg.window_len) // cfg.hop + 1
+    idx = cfg.hop * np.arange(n_cols)[:, None] + np.arange(cfg.window_len)[None, :]
+    spec = scipy.fft.fft(x[idx], n=cfg.fft_size, axis=1)
+    power = np.fft.fftshift(np.abs(spec) ** 2, axes=1).T
+    return power, np.fft.fftshift(np.fft.fftfreq(cfg.fft_size, d=1.0 / fs))
+
+
+def one_shot_spectrogram(record, cfg):
+    """Full-band ``Spectrogram`` of a record from ``one_shot_power``."""
+    power, freq = one_shot_power(record.samples, record.sample_rate_hz, cfg)
+    time = (cfg.hop * np.arange(power.shape[1]) + cfg.window_len / 2.0) / record.sample_rate_hz
+    return Spectrogram(power, time, freq)
 
 
 def make_records(n_per_class=1, snr_db=10.0, base=3000):

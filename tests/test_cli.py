@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mdgest import tfr
 from mdgest.cli import main
@@ -312,10 +312,14 @@ class TestSampleRate:
     @given(
         command=st.sampled_from(sorted(TestIqBoundary.OUTPUTS)),
         rate=st.one_of(
-            st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 999.9999]),
-            st.floats(max_value=999.9999, allow_nan=False, allow_infinity=False),
+            st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 999.9999, 1000.0, 1000.48]),
+            st.floats(max_value=1000.48, allow_nan=False, allow_infinity=False),
         ),
     )
+    # Rates from 1000 Hz up to about 1000.49 Hz sample the Doppler band,
+    # but the STFT's top row stops short of the burst curve's 500 Hz.
+    @example("segment", 1000.0)
+    @example("segment", 1000.48)
     def test_bad_rate_is_config_error_with_no_output(self, tiny_dataset_dir, command, rate):
         with tempfile.TemporaryDirectory() as tmp:
             src = Path(tmp) / "rec.iq"
@@ -398,6 +402,26 @@ class TestBadManifest:
         flag = "--out-json" if command[0] == "eval" else "--out"
         assert main([*command, "--in", str(tmp_path), flag, str(out)]) == 3
         assert "data error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [["eval", "--trials", "2"], ["features", "--kind", "empirical"], ["similarity", "--d", "2"]],
+        ids=["eval", "features", "similarity"],
+    )
+    def test_rate_below_the_burst_band_is_data_error(self, tiny_dataset_dir, tmp_path, capsys, command):
+        """A 1 kHz manifest samples the Doppler band, but its STFT rows stop
+        short of the burst curve's 500 Hz: a fault of the data."""
+        data = tmp_path / "ds"
+        shutil.copytree(tiny_dataset_dir, data)
+        meta = json.loads((data / "meta.json").read_text())
+        n_samples = meta["duration_s"] * meta["sample_rate_hz"]
+        meta["sample_rate_hz"], meta["duration_s"] = 1000.0, n_samples / 1000.0
+        (data / "meta.json").write_text(json.dumps(meta))
+        out = tmp_path / "out"
+        flag = "--out-json" if command[0] == "eval" else "--out"
+        assert main([*command, "--in", str(data), flag, str(out)]) == 3
+        assert "1000.49 Hz" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -23,7 +23,7 @@ from mdgest.harness import (
 )
 from mdgest.classify import pairwise_distances, svm_predict
 from mdgest.simulate import STREAM_KMEANS, STREAM_SPLIT, STREAM_SVM, GestureLabel, IQRecord
-from conftest import make_records
+from conftest import make_records, one_shot_spectrogram
 from test_classify import emd_lp_oracle, fit_svm_oracle, mhd_oracle
 from test_subspace import image_like, svd_oracle
 
@@ -122,10 +122,10 @@ def band_rows(spec, band_hz):
 
 
 def full_spectrogram_features(record, pipe, kinds):
-    """Oracle: every kind from full 4096-row spectrograms, the burst curve
-    recomputed wherever it is read.  The envelope reads the rows that
-    cover the wider of the image and burst-curve bands."""
-    spec = tfr.spectrogram(record, pipe.stft)
+    """Oracle: every kind from full 4096-row FFT spectrograms, the burst
+    curve recomputed wherever it is read.  The envelope reads the rows
+    that cover the wider of the image and burst-curve bands."""
+    spec = one_shot_spectrogram(record, pipe.stft)
     raw_spec = spec
     if pipe.recenter and set(kinds) - {"trajectory"}:
         curve = segmentation.smooth(segmentation.pbc(spec, pipe.pbc), pipe.pbc.smooth_len)
@@ -133,7 +133,7 @@ def full_spectrogram_features(record, pipe, kinds):
         if intervals:
             iv = strongest_interval(curve, spec.time_s, intervals)
             record = segmentation.window(record, iv, record.duration_s)
-            spec = tfr.spectrogram(record, pipe.stft)
+            spec = one_shot_spectrogram(record, pipe.stft)
     band = max(pipe.image_band_hz, pipe.pbc.band_hz)
     env = envelope.extract(band_rows(spec, band), pipe.env)
     curve = segmentation.smooth(segmentation.pbc(spec, pipe.pbc), pipe.pbc.smooth_len)
@@ -160,10 +160,11 @@ def full_spectrogram_features(record, pipe, kinds):
     }
 
 
-# Band spectrograms come from the hop-block transform, full ones from the
-# FFT; they agree to float32 rounding.  Trajectory intensities are power
-# values (worst seen 9.2e-7 relative, on generate_dataset(20)), ``pca-spec``
-# pixels lie in [0, 1] (worst seen 4.4e-7).
+# Band spectrograms come from the hop-block transform, the oracle's full
+# ones from the FFT; they agree to float32 rounding.  Trajectory
+# intensities are power values (worst seen 9.2e-7 relative, on
+# generate_dataset(20)), ``pca-spec`` pixels lie in [0, 1] (worst seen
+# 4.4e-7).
 TRAJECTORY_INTENSITY_RTOL = 1e-5
 PCA_SPEC_PIXEL_ATOL = 1e-5
 

@@ -8,14 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.fft
 from hypothesis import given, settings, strategies as st
 
+from conftest import one_shot_power
 from mdgest.simulate import IQRecord
 from mdgest.tfr import (
-    _BLOCK_COLS,
     _CHUNK_COLS,
-    _block_form,
     _block_power,
     _block_twiddles,
     GrayImage,
@@ -84,6 +82,10 @@ class TestStftOracle:
             stft_power(np.zeros(10, dtype=complex), FS, StftConfig())
         with pytest.raises(ValueError, match="FFT size"):
             StftConfig(window_len=64, fft_size=32)
+        # 12 hops, and a window that is no whole number of hops
+        for window_len, fft_size, hop in [(1536, 4096, 128), (100, 128, 24)]:
+            with pytest.raises(ValueError, match="power-of-two multiple of the hop"):
+                StftConfig(window_len=window_len, fft_size=fft_size, hop=hop)
 
 
 @pytest.mark.prop
@@ -110,15 +112,6 @@ class TestToneLocalization:
         assert np.all(np.abs(peak - inst) <= 2 * spec.freq_res_hz)
 
 
-def one_shot_power(x, fs, cfg):
-    """Every column in one FFT call, fftshifted: the unblocked STFT."""
-    n_cols = (len(x) - cfg.window_len) // cfg.hop + 1
-    idx = cfg.hop * np.arange(n_cols)[:, None] + np.arange(cfg.window_len)[None, :]
-    spec = scipy.fft.fft(x[idx], n=cfg.fft_size, axis=1)
-    power = np.fft.fftshift(np.abs(spec) ** 2, axes=1).T
-    return power, np.fft.fftshift(np.fft.fftfreq(cfg.fft_size, d=1.0 / fs))
-
-
 # The hop-block path matches the exact STFT to float32 rounding: every
 # band value lies within this share of its column's scale (the worst seen
 # on random complex64 signals was 1.0e-6).  A column's scale is its band
@@ -142,7 +135,7 @@ def assert_block_close(power, x, cfg, keep):
 
 
 class TestBlockedBandStft:
-    """Columns transformed in blocks or from hop blocks, rows kept in a band."""
+    """Columns from hop blocks, rows kept in a band or all of them."""
 
     def signal(self, n, dtype=np.complex64, seed=3, scale=1.0):
         rng = np.random.Generator(np.random.PCG64(seed))
@@ -150,54 +143,42 @@ class TestBlockedBandStft:
             return np.round(100.0 * rng.standard_normal(n)).astype(dtype)
         return (scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))).astype(dtype)
 
-    # Real input takes scipy's real-input path, whose bits a complex copy
-    # would not reproduce.
     @pytest.mark.parametrize(
         "n, dtype",
         [
-            (2048 + 128 * (3 * _BLOCK_COLS + 5), np.complex64),  # not a multiple of the block
+            (2048 + 128 * 197, np.complex64),  # not a multiple of the chunk
             (2048, np.complex64),  # exactly one window: one column
-            (2048 + 128 * (_BLOCK_COLS + 1), np.complex128),
-            (2048 + 128 * (_BLOCK_COLS + 1), np.float32),
-            (2048 + 128 * (_BLOCK_COLS + 1), np.float64),
-            (2048 + 128 * (_BLOCK_COLS + 1), np.int64),
+            (2048 + 128 * 65, np.complex128),
+            (2048 + 128 * 65, np.float32),
+            (2048 + 128 * 65, np.float64),
+            (2048 + 128 * 65, np.int64),
         ],
         ids=["ragged", "one-window", "complex128", "float32", "float64", "int64"],
     )
     @pytest.mark.parametrize("band_hz", [None, 640.0, 500.0, 12.0])
     def test_equals_band_rows_of_one_shot_stft(self, n, dtype, band_hz):
-        """The FFT path keeps the bits of the one-shot STFT; a band of
-        complex samples takes the hop-block path, within its bound."""
+        """Every band, the full one too, and real samples lie within the
+        hop-block bound of the one-shot STFT, in its dtype."""
         cfg = StftConfig()
         x = self.signal(n, dtype)
         full, freq = one_shot_power(x, FS, cfg)
         spec = stft_power(x, FS, cfg, band_hz)
         keep = np.ones(len(freq), bool) if band_hz is None else np.isin(freq, spec.freq_hz)
-        assert _block_form(x, cfg, band_hz) == (band_hz is not None and np.dtype(dtype).kind == "c")
         assert spec.power.dtype == full.dtype
         assert spec.power.shape == (keep.sum(), full.shape[1])
-        if _block_form(x, cfg, band_hz):
-            assert_block_close(spec.power, x, cfg, keep)
-        else:
-            np.testing.assert_array_equal(spec.power, full[keep])
+        assert_block_close(spec.power, x, cfg, keep)
         np.testing.assert_array_equal(spec.freq_hz, freq[keep])
         # the same (rows x cols) orientation: a transposed (cols x rows) array
         assert spec.power.strides[0] < spec.power.strides[1] or spec.power.shape[1] == 1
 
-    @pytest.mark.parametrize(
-        "cfg, dtype, band_hz, block",
-        [
-            (StftConfig(), np.complex64, 640.0, True),
-            (StftConfig(), np.complex128, 0.0, True),
-            (StftConfig(window_len=128, fft_size=256, hop=128), np.complex64, 640.0, True),
-            (StftConfig(), np.complex64, None, False),  # full band
-            (StftConfig(), np.float32, 640.0, False),  # real samples
-            (StftConfig(window_len=1536, hop=128), np.complex64, 640.0, False),  # 12 hops
-            (StftConfig(window_len=100, fft_size=128, hop=24), np.complex64, 640.0, False),
-        ],
-    )
-    def test_path_rule(self, cfg, dtype, band_hz, block):
-        assert _block_form(np.zeros(4096, dtype), cfg, band_hz) == block
+    def test_power_dtype_follows_the_samples(self):
+        """Single precision in, single precision out; integers and
+        booleans are read as float64, as an FFT reads them."""
+        single = (np.complex64, np.float32, np.float16)
+        for dtype in single + (np.complex128, np.float64, np.int8, np.uint16, np.int64, np.bool_):
+            want = np.float32 if dtype in single else np.float64
+            for band_hz in (None, 640.0):
+                assert stft_power(np.ones(2048, dtype), FS, StftConfig(), band_hz).power.dtype == want, dtype
 
     @pytest.mark.prop
     @settings(max_examples=40, deadline=None)
@@ -213,7 +194,6 @@ class TestBlockedBandStft:
     def test_block_path_matches_one_shot_power(self, cfg, n_cols, extra, scale, band_hz, dtype, seed):
         n = cfg.window_len + cfg.hop * (n_cols - 1) + extra % cfg.hop
         x = self.signal(n, dtype, seed, scale)
-        assert _block_form(x, cfg, band_hz)
         full, freq = one_shot_power(x, FS, cfg)
         spec = stft_power(x, FS, cfg, band_hz)
         keep = np.isin(freq, spec.freq_hz)
