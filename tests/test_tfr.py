@@ -82,10 +82,6 @@ class TestStftOracle:
             stft_power(np.zeros(10, dtype=complex), FS, StftConfig())
         with pytest.raises(ValueError, match="FFT size"):
             StftConfig(window_len=64, fft_size=32)
-        # 12 hops, and a window that is no whole number of hops
-        for window_len, fft_size, hop in [(1536, 4096, 128), (100, 128, 24)]:
-            with pytest.raises(ValueError, match="power-of-two multiple of the hop"):
-                StftConfig(window_len=window_len, fft_size=fft_size, hop=hop)
 
 
 @pytest.mark.prop
@@ -170,6 +166,27 @@ class TestBlockedBandStft:
         np.testing.assert_array_equal(spec.freq_hz, freq[keep])
         # the same (rows x cols) orientation: a transposed (cols x rows) array
         assert spec.power.strides[0] < spec.power.strides[1] or spec.power.shape[1] == 1
+
+    # The cases keep the ids they had when a path rule sent these windows
+    # to a one-shot FFT (block=False); now no window leaves the hop-block
+    # transform, and one that is not a power-of-two multiple of the hop is
+    # refused before any sample is read.
+    @pytest.mark.parametrize(
+        "kwargs, dtype, band_hz",
+        [
+            pytest.param(
+                dict(window_len=1536, hop=128), np.complex64, 640.0,
+                id="cfg5-complex64-640.0-False",
+            ),  # 12 hops
+            pytest.param(
+                dict(window_len=100, fft_size=128, hop=24), np.complex64, 640.0,
+                id="cfg6-complex64-640.0-False",
+            ),  # no whole number of hops
+        ],
+    )
+    def test_path_rule(self, kwargs, dtype, band_hz):
+        with pytest.raises(ValueError, match="power-of-two multiple of the hop"):
+            stft_power(np.zeros(4096, dtype), FS, StftConfig(**kwargs), band_hz)
 
     def test_power_dtype_follows_the_samples(self):
         """Single precision in, single precision out; integers and
