@@ -13,7 +13,7 @@ from .simulate import (
     synthesize,
 )
 from .tfr import GrayImage, Spectrogram, StftConfig, spectrogram, stft_power, to_gray, vectorize
-from .segmentation import MotionInterval, PbcConfig, detect, pbc, segment_record, smooth, window
+from .segmentation import MotionInterval, PbcConfig, detect, pbc, smooth, window
 from .envelope import EnvelopeConfig, EnvelopePair, extract
 from .features import EmpiricalFeatures, Trajectory, central_trajectory, empirical, trajectory
 from .subspace import (

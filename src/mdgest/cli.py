@@ -23,16 +23,8 @@ class DataError(Exception):
     pass
 
 
-def _min_rate_hz() -> float:
-    """The lowest sample rate whose top STFT row, at
-    (fft_size / 2 - 1) * fs / fft_size, reaches the burst-curve band."""
-    pipe = harness.PipelineConfig()
-    n = pipe.stft.fft_size
-    return 2 * pipe.pbc.band_hz * n / (n - 2)
-
-
 def _load_record(path: Path, sample_rate_hz: float) -> simulate.IQRecord:
-    min_rate = _min_rate_hz()
+    min_rate = harness.PipelineConfig().min_rate_hz
     if not (np.isfinite(sample_rate_hz) and sample_rate_hz >= min_rate):
         raise ConfigError(
             f"--sample-rate must be a finite rate of at least {min_rate:g} Hz, got {sample_rate_hz}"
@@ -47,7 +39,9 @@ def _load_record(path: Path, sample_rate_hz: float) -> simulate.IQRecord:
     samples = np.fromfile(path, dtype="<c8")
     if not np.isfinite(samples).all():
         raise DataError(f"IQ file {path} holds non-finite samples")
-    return simulate.IQRecord(samples=samples, sample_rate_hz=sample_rate_hz, record_id=path.stem)
+    rec = simulate.IQRecord(samples=samples, sample_rate_hz=sample_rate_hz, record_id=path.stem)
+    harness.check_records([rec], harness.PipelineConfig())
+    return rec
 
 
 def _load_dataset(path: str) -> simulate.Dataset:
@@ -61,18 +55,7 @@ def _load_dataset(path: str) -> simulate.Dataset:
         raise DataError(f"corrupt dataset: {e}") from e
     if not ds.records:
         raise DataError(f"dataset {path} lists no records")
-    window, min_rate = tfr.StftConfig().window_len, _min_rate_hz()
-    for rec in ds.records:
-        if not rec.sample_rate_hz >= min_rate:
-            raise DataError(
-                f"record {rec.record_id} is sampled at {rec.sample_rate_hz:g} Hz, "
-                f"below the {min_rate:g} Hz the burst-curve band needs"
-            )
-        if len(rec.samples) < window:
-            raise DataError(
-                f"record {rec.record_id} has {len(rec.samples)} samples, "
-                f"fewer than the {window}-sample analysis window"
-            )
+    harness.check_records(ds.records, harness.PipelineConfig())
     return ds
 
 
@@ -118,18 +101,6 @@ def _apply_config_file(args, parser: argparse.ArgumentParser):
         setattr(args, action.dest, value)
 
 
-def _pipeline_from_args(args) -> harness.PipelineConfig:
-    try:
-        return harness.PipelineConfig(
-            features=args.features,
-            classifier=args.classifier,
-            recenter=not getattr(args, "no_recenter", False),
-            pca_dim=getattr(args, "pca_dim", 30),
-        )
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-
-
 def _cmd_simulate(args) -> int:
     if args.per_class < 1:
         raise ConfigError("--per-class must be at least 1")
@@ -147,10 +118,7 @@ def _cmd_spectrogram(args) -> int:
     if not (np.isfinite(args.dyn_range) and args.dyn_range > 0):
         raise ConfigError(f"--dyn-range must be a finite positive dB span, got {args.dyn_range}")
     rec = _load_record(Path(args.infile), args.sample_rate)
-    try:
-        spec = tfr.spectrogram(rec)
-    except ValueError as e:
-        raise DataError(str(e)) from e
+    spec = tfr.spectrogram(rec)
     if args.out:
         tfr.write_pgm(tfr.to_gray(spec, dyn_range_db=args.dyn_range), args.out)
         print(f"wrote {args.out}")
@@ -162,10 +130,8 @@ def _cmd_spectrogram(args) -> int:
 
 def _cmd_segment(args) -> int:
     rec = _load_record(Path(args.infile), args.sample_rate)
-    try:
-        intervals = segmentation.segment_record(rec)
-    except ValueError as e:
-        raise DataError(str(e)) from e
+    pipe = harness.PipelineConfig()
+    intervals = harness.segment(rec, pipe, recenter=False, find_bursts=True).intervals
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     meta = []
@@ -182,11 +148,8 @@ def _cmd_segment(args) -> int:
 def _cmd_envelope(args) -> int:
     rec = _load_record(Path(args.infile), args.sample_rate)
     pipe = harness.PipelineConfig()
-    try:
-        spec = tfr.spectrogram(rec, pipe.stft, pipe.band_hz)
-        env = envelope.extract(spec, pipe.env)
-    except ValueError as e:
-        raise DataError(str(e)) from e
+    spec = harness.segment(rec, pipe, pipe.recenter).spec
+    env = envelope.extract(spec, pipe.env)
     payload = {
         "upper_hz": env.upper_hz.tolist(),
         "lower_hz": env.lower_hz.tolist(),
@@ -228,9 +191,7 @@ def _cmd_similarity(args) -> int:
         raise ConfigError("--d must be at least 1")
     ds = _load_dataset(args.indir)
     pipe = harness.PipelineConfig(features="pca-spec")
-    table = harness.extract_features(ds.records, pipe, kinds=("pca-spec",), jobs=args.jobs)[
-        "pca-spec"
-    ]
+    table = harness.extract_features(ds.records, pipe, jobs=args.jobs)["pca-spec"]
     by_class = {}
     for lab, vec in zip(table.labels, table.vectors):
         by_class.setdefault(simulate.GestureLabel(int(lab)), []).append(vec)
@@ -245,13 +206,18 @@ def _cmd_similarity(args) -> int:
 
 def _cmd_eval(args) -> int:
     ds = _load_dataset(args.indir)
-    pipe = _pipeline_from_args(args)
     try:
+        pipe = harness.PipelineConfig(
+            features=args.features,
+            classifier=args.classifier,
+            recenter=not args.no_recenter,
+            pca_dim=args.pca_dim,
+        )
         protocol = harness.EvalProtocol(
             train_fraction=args.train_fraction, trials=args.trials, seed=args.seed
         )
         cm = harness.evaluate(ds, pipe, protocol, jobs=args.jobs)
-    except harness.SmallClassError as e:
+    except (harness.SmallClassError, harness.RecordError) as e:
         raise DataError(str(e)) from e
     except ValueError as e:
         raise ConfigError(str(e)) from e
@@ -374,7 +340,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except DataError as e:
+    except (DataError, harness.RecordError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 3
 

@@ -72,6 +72,13 @@ class PipelineConfig:
         reads: the image band or the burst-curve band, whichever is wider."""
         return max(self.image_band_hz, self.pbc.band_hz)
 
+    @property
+    def min_rate_hz(self) -> float:
+        """The lowest sample rate whose top STFT row, at
+        (fft_size / 2 - 1) * fs / fft_size, reaches the burst-curve band."""
+        n = self.stft.fft_size
+        return 2 * self.pbc.band_hz * n / (n - 2)
+
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
@@ -88,6 +95,25 @@ def config_hash(pipeline: PipelineConfig, protocol: EvalProtocol) -> str:
 class SmallClassError(ValueError):
     """A class has too few records to split into train and test: a fault
     of the data, not of the protocol settings."""
+
+
+class RecordError(ValueError):
+    """A record the pipeline cannot analyse: a fault of the data."""
+
+
+def check_records(records, pipe: PipelineConfig) -> None:
+    """Raise RecordError for the first record ``pipe`` cannot analyse."""
+    for rec in records:
+        if not rec.sample_rate_hz >= pipe.min_rate_hz:
+            raise RecordError(
+                f"record {rec.record_id} is sampled at {rec.sample_rate_hz:g} Hz, "
+                f"below the {pipe.min_rate_hz:g} Hz the burst-curve band needs"
+            )
+        if len(rec.samples) < pipe.stft.window_len:
+            raise RecordError(
+                f"record {rec.record_id} has {len(rec.samples)} samples, "
+                f"fewer than the {pipe.stft.window_len}-sample analysis window"
+            )
 
 
 def split(
@@ -128,44 +154,59 @@ class FeatureTable:
     trajectories: list | None = None
 
 
+@dataclass(frozen=True)
+class Segment:
+    """One record's band spectrogram and the bursts found on it."""
+
+    raw: tfr.Spectrogram  # the record as measured
+    spec: tfr.Spectrogram  # recentred on the strongest burst, or ``raw``
+    intervals: list  # the bursts of ``raw``, when searched for
+
+
+def segment(record, pipe: PipelineConfig, recenter: bool, find_bursts: bool = False) -> Segment:
+    """Band spectrogram -> bursts -> recentring, for one record.
+
+    Bursts are searched for when recentring needs them, or when asked.
+    With ``recenter`` and a burst, ``spec`` is the spectrogram of the
+    record cut around the strongest burst (``segmentation.recentre``).
+    """
+    raw = tfr.spectrogram(record, pipe.stft, pipe.band_hz)
+    intervals, burst = [], None
+    if recenter or find_bursts:
+        intervals, burst = segmentation.bursts(raw, pipe.pbc)
+    spec = raw
+    if recenter and burst is not None:
+        spec = segmentation.recentre(record, raw, burst, pipe.stft, pipe.band_hz)
+    return Segment(raw, spec, intervals)
+
+
 def _record_features(record, pipe: PipelineConfig, kinds: tuple[str, ...]) -> dict:
     # The sparse-trajectory decomposition is defined on the record as
     # measured; recentering belongs to the segment-based pipelines, so a
     # request for trajectories alone skips it.
     recenter = pipe.recenter and bool(set(kinds) - {"trajectory"})
-    spec = tfr.spectrogram(record, pipe.stft, pipe.band_hz)
-    raw_spec = spec
-    # The strongest burst of ``spec``, computed once per spectrogram.
-    burst = None
-    if recenter or "empirical" in kinds:
-        burst = segmentation.bursts(spec, pipe.pbc)[1]
-    if recenter and burst is not None:
-        spec = segmentation.recentre(record, spec, burst, pipe.stft, pipe.band_hz)
-        if "empirical" in kinds:
-            burst = segmentation.bursts(spec, pipe.pbc)[1]
+    seg = segment(record, pipe, recenter)
+    spec = seg.spec
 
     out: dict = {}
     env = None
     if {"envelope", "empirical", "pca-env", "pca-envimg"} & set(kinds):
         env = envelope.extract(spec, pipe.env)
 
-    if "envelope" in kinds or "pca-env" in kinds:
-        vec = envelope.to_feature(env)
-        if "envelope" in kinds:
-            out["envelope"] = vec
-        if "pca-env" in kinds:
-            out["pca-env"] = vec
+    for kind in ("envelope", "pca-env"):
+        if kind in kinds:
+            out[kind] = envelope.to_feature(env)
     if "empirical" in kinds:
+        # The triple reads the strongest burst of the spectrogram it
+        # describes, or the whole record when that has none.
+        burst = segmentation.bursts(spec, pipe.pbc)[1]
         if burst is None:
             burst = segmentation.MotionInterval(0.0, record.duration_s)
         out["empirical"] = features.empirical(burst, env).as_vector()
     if "trajectory" in kinds:
-        traj = features.trajectory(
-            raw_spec,
-            pipe.trajectory_points,
-            band_hz=(pipe.pbc.pos_lo_hz, pipe.pbc.pos_hi_hz),
+        out["trajectory"] = features.trajectory(
+            seg.raw, pipe.trajectory_points, band_hz=(pipe.pbc.pos_lo_hz, pipe.pbc.pos_hi_hz)
         )
-        out["trajectory"] = traj
     if "pca-spec" in kinds or "pca-envimg" in kinds:
         cropped = spec.crop_band(pipe.image_band_hz)
         if "pca-spec" in kinds:
@@ -213,6 +254,7 @@ def extract_features(
             raise ValueError(f"unknown feature kind: {k!r}")
     if not records:
         raise ValueError("no records to extract features from")
+    check_records(records, pipe)
     labels = np.array([int(r.label) for r in records])
 
     # Each vector kind's rows land in one table as results arrive, so no

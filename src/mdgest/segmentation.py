@@ -4,6 +4,7 @@ The power burst curve sums squared spectrogram values over the Doppler
 bands [-500, -20] and [+20, +500] Hz, column by column, skipping the
 zero-Doppler strip where the static body return lives.  A smoothed
 curve is thresholded a fraction above its floor to find motion bursts.
+``harness.segment`` runs the stages on a record and recentres it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from . import tfr
 from .simulate import IQRecord
-from .tfr import Spectrogram, StftConfig, spectrogram
+from .tfr import Spectrogram, StftConfig
 
 
 @dataclass(frozen=True)
@@ -149,15 +150,6 @@ def bursts(
         if s > best_sum:
             best, best_sum = iv, s
     return intervals, best
-
-
-def segment_record(
-    record: IQRecord,
-    stft_cfg: StftConfig = StftConfig(),
-    pbc_cfg: PbcConfig = PbcConfig(),
-) -> list[MotionInterval]:
-    """Spectrogram -> burst curve -> smoothing -> detection in one call."""
-    return bursts(spectrogram(record, stft_cfg, pbc_cfg.band_hz), pbc_cfg)[0]
 
 
 def cut_span(record: IQRecord, interval: MotionInterval, duration_s: float) -> tuple[int, int]:

@@ -19,8 +19,7 @@ import pytest
 
 from conftest import note_criterion
 from mdgest.features import trajectory
-from mdgest.harness import EvalProtocol, PipelineConfig, evaluate, extract_features
-from mdgest.segmentation import segment_record
+from mdgest.harness import EvalProtocol, PipelineConfig, evaluate, extract_features, segment
 from mdgest.simulate import GestureLabel, SimConfig, generate_dataset, simulate_record
 from mdgest.subspace import canonical_correlations, similarity_table
 from mdgest.tfr import Spectrogram
@@ -235,7 +234,7 @@ def test_criterion_6_segmentation_accuracy():
             rec = simulate_record(lab, cfg)
             total += 1
             best = None
-            for iv in segment_record(rec):
+            for iv in segment(rec, PipelineConfig(), recenter=False, find_bursts=True).intervals:
                 ov = min(iv.end_s, rec.active_s[1]) - max(iv.start_s, rec.active_s[0])
                 if best is None or ov > best[0]:
                     best = (ov, iv)

@@ -14,8 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 from mdgest import tfr
 from mdgest.cli import main
 from mdgest.envelope import extract
-from mdgest.harness import PipelineConfig
-from mdgest.segmentation import segment_record
+from mdgest.harness import PipelineConfig, extract_features, segment
+from mdgest.segmentation import bursts, cut_span, recentre
 from mdgest.simulate import (
     Dataset,
     GestureLabel,
@@ -24,6 +24,11 @@ from mdgest.simulate import (
     generate_dataset,
     simulate_record,
 )
+
+
+def eval_row(record):
+    """The ``envelope`` row ``mdg eval`` classifies for one record."""
+    return extract_features([record], PipelineConfig())["envelope"].vectors[0].tolist()
 
 
 def first_iq(tiny_dataset_dir):
@@ -162,6 +167,19 @@ class TestSegment:
         cut = np.fromfile(out / seg["file"], dtype="<c8")
         assert cut.size == 64000  # five seconds at 12.8 kHz
 
+    def test_intervals_are_the_pipeline_bursts(self, twelve_records, tmp_path):
+        """The command writes the bursts feature extraction finds on the
+        record's band spectrogram."""
+        pipe = PipelineConfig()
+        for rec in twelve_records:
+            path = tmp_path / f"{rec.record_id}.iq"
+            rec.samples.tofile(path)
+            assert main(["segment", "--in", str(path), "--out", str(tmp_path / rec.record_id)]) == 0
+            got = json.loads((tmp_path / rec.record_id / "segments.json").read_text())["segments"]
+            want = segment(rec, pipe, recenter=False, find_bursts=True).intervals
+            assert want
+            assert [(s["start_s"], s["end_s"]) for s in got] == [(iv.start_s, iv.end_s) for iv in want]
+
 
 class TestEnvelope:
     def test_writes_traces_and_overlay(self, tiny_dataset_dir, tmp_path):
@@ -181,25 +199,61 @@ class TestEnvelope:
         assert len(payload["upper_hz"]) == len(payload["time_s"]) == 100
         assert overlay.read_bytes().startswith(b"P5\n")
 
+    @staticmethod
+    def run(record, tmp_path):
+        path = tmp_path / "rec.iq"
+        record.samples.astype("<c8").tofile(path)
+        out = tmp_path / "env.json"
+        assert main(["envelope", "--in", str(path), "--out", str(out)]) == 0
+        return json.loads(out.read_text())
+
     def test_traces_are_the_band_envelope(self, twelve_records, tmp_path):
         """The command reads the rows feature extraction reads, so a strong
-        tone at 3 kHz, outside them, leaves the traces as they are."""
+        tone at 3 kHz, outside them, leaves the traces as they are: they
+        are the recentred record's ``envelope`` row."""
         rec = twelve_records[0]
         t = np.arange(len(rec.samples)) / rec.sample_rate_hz
         tone = 10.0 * np.abs(rec.samples).max() * np.exp(2j * np.pi * 3000.0 * t)
-        record = IQRecord((rec.samples + tone).astype("<c8"), rec.sample_rate_hz)
-        path = tmp_path / "tone.iq"
-        record.samples.tofile(path)
-        out = tmp_path / "env.json"
-        assert main(["envelope", "--in", str(path), "--out", str(out)]) == 0
+        record = IQRecord((rec.samples + tone).astype("<c8"), rec.sample_rate_hz, rec.label)
+        got = self.run(record, tmp_path)
         pipe = PipelineConfig()
-        want = extract(tfr.spectrogram(record, pipe.stft, pipe.band_hz), pipe.env)
-        got = json.loads(out.read_text())
+        want = extract(segment(record, pipe, recenter=True).spec, pipe.env)
+        assert got["upper_hz"] + got["lower_hz"] == eval_row(record)
         assert got["upper_hz"] == want.upper_hz.tolist()
         assert got["lower_hz"] == want.lower_hz.tolist()
         assert got["time_s"] == want.time_s.tolist()
-        full = extract(tfr.spectrogram(record, pipe.stft), pipe.env)
+        burst = bursts(tfr.spectrogram(record, pipe.stft, pipe.band_hz), pipe.pbc)[1]
+        full = extract(recentre(record, tfr.spectrogram(record, pipe.stft), burst, pipe.stft), pipe.env)
         assert got["upper_hz"] != full.upper_hz.tolist()
+
+    def test_traces_are_the_eval_envelope_row(self, twelve_records, tmp_path):
+        """``mdg envelope`` writes the row ``mdg eval`` classifies, for cuts
+        that start on the hop grid and off it."""
+        pipe = PipelineConfig()
+        rows = extract_features(twelve_records, pipe)["envelope"].vectors
+        on_grid = set()
+        for rec, row in zip(twelve_records, rows):
+            got = self.run(rec, tmp_path)
+            assert got["upper_hz"] + got["lower_hz"] == row.tolist(), rec.record_id
+            burst = bursts(segment(rec, pipe, recenter=False).raw, pipe.pbc)[1]
+            on_grid.add(cut_span(rec, burst, rec.duration_s)[0] % pipe.stft.hop == 0)
+        assert on_grid == {True, False}
+
+    def test_record_without_a_burst_keeps_its_whole_envelope(self, tmp_path):
+        """Noise that repeats every hop gives bit-identical columns, a flat
+        burst curve and no burst: the traces are those of the whole record,
+        which is the row extraction falls back to."""
+        rng = np.random.default_rng(4)
+        block = rng.standard_normal(128) + 1j * rng.standard_normal(128)
+        record = IQRecord(np.tile(block, 500).astype(np.complex64), 12800.0, GestureLabel(0))
+        pipe = PipelineConfig()
+        seg = segment(record, pipe, recenter=True)
+        assert seg.intervals == [] and seg.spec is seg.raw
+        got = self.run(record, tmp_path)
+        want = extract(tfr.spectrogram(record, pipe.stft, pipe.band_hz), pipe.env)
+        assert got["upper_hz"] + got["lower_hz"] == eval_row(record)
+        assert got["upper_hz"] == want.upper_hz.tolist()
+        assert got["lower_hz"] == want.lower_hz.tolist()
 
 
     @staticmethod
@@ -351,14 +405,15 @@ class TestSampleRate:
             runs[rate] = (json.loads(out.read_text()), json.loads((segs / "segments.json").read_text()))
         (env, segs), (slow_env, slow_segs) = runs["25600"], runs[None]
         pipe = PipelineConfig()
-        want = extract(tfr.spectrogram(rec, pipe.stft, pipe.band_hz), pipe.env)
+        want = extract(segment(rec, pipe, recenter=True).spec, pipe.env)
+        assert env["upper_hz"] + env["lower_hz"] == eval_row(rec)
         assert env["upper_hz"] == want.upper_hz.tolist()
         assert env["lower_hz"] == want.lower_hz.tolist()
         assert env["time_s"] == want.time_s.tolist()
         np.testing.assert_allclose(slow_env["time_s"], 2 * np.array(env["time_s"]))
         assert slow_env["upper_hz"] != env["upper_hz"]
         assert max(slow_env["upper_hz"]) < 0.75 * max(env["upper_hz"])
-        want_iv = segment_record(rec)
+        want_iv = segment(rec, pipe, recenter=False, find_bursts=True).intervals
         assert [s["start_s"] for s in segs["segments"]] == [iv.start_s for iv in want_iv]
         assert slow_segs["segments"][0]["start_s"] == pytest.approx(2 * segs["segments"][0]["start_s"], rel=0.05)
 
@@ -383,6 +438,15 @@ class TestShortRecords:
         assert main([*command, "--in", str(short_dataset_dir), flag, str(out)]) == 3
         assert "analysis window" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(TestIqBoundary.OUTPUTS))
+    def test_iq_file_shorter_than_the_window_is_data_error(self, tmp_path, capsys, command):
+        src = tmp_path / "short.iq"
+        np.zeros(2047, "<c8").tofile(src)
+        args = [a if a.startswith("--") else str(tmp_path / a) for a in TestIqBoundary.OUTPUTS[command]]
+        assert main([command, "--in", str(src), *args]) == 3
+        assert "2047 samples, fewer than the 2048-sample analysis window" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["short.iq"]
 
 
 class TestBadManifest:

@@ -12,6 +12,7 @@ from mdgest.harness import (
     EvalProtocol,
     FeatureTable,
     PipelineConfig,
+    RecordError,
     SmallClassError,
     _make_predictor,
     _trial_seed,
@@ -103,6 +104,43 @@ class TestPipelineConfig:
     def test_dimension_validated(self):
         with pytest.raises(ValueError):
             PipelineConfig(pca_dim=0)
+
+
+def noise_record(rate_hz, n_samples=5000, seed=0):
+    rng = np.random.default_rng(seed)
+    samples = (rng.standard_normal(n_samples) + 1j * rng.standard_normal(n_samples)).astype(np.complex64)
+    return IQRecord(samples, rate_hz, GestureLabel(0), record_id="noise")
+
+
+class TestCheckRecords:
+    """Extraction admits a record only when its STFT's top row reaches the
+    burst-curve band and it holds one analysis window."""
+
+    @pytest.mark.parametrize("rate_hz", [1000.0, 1000.48])
+    def test_rate_below_the_burst_band_is_a_record_error(self, rate_hz):
+        with pytest.raises(RecordError, match="below the 1000.49 Hz the burst-curve band needs"):
+            extract_features([noise_record(12800.0), noise_record(rate_hz)], PipelineConfig())
+
+    def test_rate_that_reaches_the_burst_band_is_admitted(self):
+        table = extract_features([noise_record(1000.49)], PipelineConfig(), kinds=FEATURE_KINDS)
+        assert table["envelope"].vectors.shape == (1, 200)
+
+    def test_record_shorter_than_the_window_is_a_record_error(self):
+        with pytest.raises(RecordError, match="2047 samples, fewer than the 2048-sample analysis window"):
+            extract_features([noise_record(12800.0, n_samples=2047)], PipelineConfig())
+
+    def test_bound_follows_the_pipeline_config(self):
+        """A narrower burst band or a shorter window lowers what a record
+        must have, and extraction then runs."""
+        narrow = PipelineConfig(
+            pbc=segmentation.PbcConfig(neg_lo_hz=-250.0, pos_hi_hz=250.0),
+            stft=tfr.StftConfig(window_len=1024, fft_size=2048, hop=128),
+        )
+        assert narrow.min_rate_hz == pytest.approx(500.0 * 2048 / 2046)
+        rec = noise_record(600.0, n_samples=1500)
+        with pytest.raises(RecordError):
+            extract_features([rec], PipelineConfig())
+        assert extract_features([rec], narrow)["envelope"].vectors.shape == (1, 200)
 
 
 def strongest_interval(curve, time_s, intervals):
@@ -303,6 +341,15 @@ class TestExtractFeatures:
         assert [kind for kind, _ in calls] == ["full"] * len(records)
         for got, want in zip(table.trajectories, raw):
             np.testing.assert_array_equal(got.points, want.points)
+
+    def test_trajectory_only_request_takes_no_burst_curve(self, twelve_records, monkeypatch):
+        calls = []
+        real = segmentation.bursts
+        monkeypatch.setattr(segmentation, "bursts", lambda *a, **k: calls.append(1) or real(*a, **k))
+        extract_features(twelve_records[:3], PipelineConfig(features="trajectory"))
+        assert calls == []
+        extract_features(twelve_records[:3], PipelineConfig())
+        assert len(calls) == 3
 
     @pytest.mark.parametrize(
         "source, recenter",

@@ -12,10 +12,10 @@ from mdgest.segmentation import (
     detect,
     pbc,
     recentre,
-    segment_record,
     smooth,
     window,
 )
+from mdgest.harness import PipelineConfig, segment
 from mdgest.simulate import GestureLabel, IQRecord, SimConfig, simulate_record
 from mdgest.tfr import Spectrogram, StftConfig, spectrogram
 
@@ -231,28 +231,35 @@ class TestInterval:
             MotionInterval(2.0, 2.0)
 
 
+def pipeline_intervals(rec):
+    """The motion intervals of a record's band spectrogram, as ``mdg
+    segment`` writes them."""
+    return segment(rec, PipelineConfig(), recenter=False, find_bursts=True).intervals
+
+
 class TestOnRecords:
     @pytest.mark.parametrize("seed", [50, 51, 52])
     def test_push_pull_interval_matches_truth(self, seed):
         """Detected motion edges sit within 50 ms of the simulated truth."""
         rec = simulate_record(GestureLabel.PUSH_PULL, SimConfig(seed=seed, snr_db=10.0))
-        ivs = segment_record(rec)
+        ivs = pipeline_intervals(rec)
         assert len(ivs) == 1
         assert ivs[0].start_s == pytest.approx(rec.active_s[0], abs=0.05)
         assert ivs[0].end_s == pytest.approx(rec.active_s[1], abs=0.05)
 
     def test_each_gesture_yields_one_interval(self, six_records):
         for rec in six_records:
-            ivs = segment_record(rec)
+            ivs = pipeline_intervals(rec)
             assert len(ivs) == 1
             assert ivs[0].start_s < rec.active_s[1]
             assert ivs[0].end_s > rec.active_s[0]
 
     def test_pipeline_equals_manual_stages(self, six_records):
         rec = six_records[0]
-        spec = spectrogram(rec, StftConfig())
+        pipe = PipelineConfig()
+        spec = spectrogram(rec, pipe.stft, pipe.band_hz)
         manual = detect(smooth(pbc(spec), 5), spec.time_s)
-        assert segment_record(rec) == manual
+        assert pipeline_intervals(rec) == manual
 
 
 class TestWindow:
