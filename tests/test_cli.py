@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from mdgest import tfr
 from mdgest.cli import main
-from mdgest.envelope import extract
+from mdgest.envelope import envelope_image, extract
 from mdgest.harness import PipelineConfig, extract_features, segment
 from mdgest.segmentation import bursts, cut_span, recentre
 from mdgest.simulate import (
@@ -254,6 +254,23 @@ class TestEnvelope:
         assert got["upper_hz"] + got["lower_hz"] == eval_row(record)
         assert got["upper_hz"] == want.upper_hz.tolist()
         assert got["lower_hz"] == want.lower_hz.tolist()
+
+    def test_overlay_is_the_gray_band_image_with_the_envelope_marked(self, twelve_records, tmp_path):
+        """The overlay is the 100 x 100, 25 dB gray image of the recentred
+        spectrogram cut to 640 Hz, with the envelope's pixels set to 1."""
+        for rec in twelve_records[::4]:
+            path, overlay = tmp_path / "rec.iq", tmp_path / "overlay.pgm"
+            rec.samples.astype("<c8").tofile(path)
+            args = ["envelope", "--in", str(path), "--out", str(tmp_path / "env.json")]
+            assert main(args + ["--overlay", str(overlay)]) == 0
+            spec = segment(rec, PipelineConfig(), recenter=True).spec
+            cropped = spec.crop_band(640.0)
+            img = tfr.to_gray(cropped, (100, 100), 25.0)
+            marks = envelope_image(cropped, extract(spec), (100, 100))
+            assert (marks.pixels > 0).any() and (img.pixels[marks.pixels > 0] < 1.0).any()
+            img.pixels[marks.pixels > 0] = 1.0
+            tfr.write_pgm(img, tmp_path / "want.pgm")
+            assert overlay.read_bytes() == (tmp_path / "want.pgm").read_bytes(), rec.record_id
 
 
     @staticmethod
