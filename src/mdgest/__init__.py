@@ -12,9 +12,9 @@ from .simulate import (
     simulate_record,
     synthesize,
 )
-from .tfr import GrayImage, Spectrogram, StftConfig, spectrogram, stft_power, to_gray, vectorize
+from .tfr import Spectrogram, StftConfig, spectrogram, stft_power, to_gray
 from .segmentation import MotionInterval, PbcConfig, detect, pbc, smooth, window
-from .envelope import EnvelopeConfig, EnvelopePair, extract
+from .envelope import EnvelopePair, extract
 from .features import EmpiricalFeatures, Trajectory, central_trajectory, empirical, trajectory
 from .subspace import (
     ClassSubspace,

@@ -149,7 +149,7 @@ def _cmd_envelope(args) -> int:
     rec = _load_record(Path(args.infile), args.sample_rate)
     pipe = harness.PipelineConfig()
     spec = harness.segment(rec, pipe, pipe.recenter).spec
-    env = envelope.extract(spec, pipe.env)
+    env = envelope.extract(spec)
     payload = {
         "upper_hz": env.upper_hz.tolist(),
         "lower_hz": env.lower_hz.tolist(),
@@ -158,10 +158,9 @@ def _cmd_envelope(args) -> int:
     Path(args.out).write_text(json.dumps(payload, indent=2))
     print(f"wrote {args.out}")
     if args.overlay:
-        cropped = spec.crop_band(pipe.image_band_hz)
-        img = tfr.to_gray(cropped, pipe.image_size, pipe.image_dyn_db)
-        marks = envelope.envelope_image(cropped, env, img.size)
-        img.pixels[marks.pixels > 0] = 1.0
+        cropped = spec.crop_band(harness.IMAGE_BAND_HZ)
+        img = tfr.to_gray(cropped, harness.IMAGE_SIZE, harness.IMAGE_DYN_DB)
+        img[envelope.envelope_image(cropped, env, harness.IMAGE_SIZE) > 0] = 1.0
         tfr.write_pgm(img, args.overlay)
         print(f"wrote {args.overlay}")
     return 0

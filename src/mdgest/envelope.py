@@ -10,7 +10,9 @@ threshold.  Columns whose in-band energy does not rise above the noise
 floor contribute zero.
 
 Everything here works on a unit-peak-normalized copy of the power
-matrix, which makes extraction invariant to overall signal scale.
+matrix, which makes extraction invariant to overall signal scale.  The
+band share, the gate, the threshold's calibration and the trace length
+are the module constants below, fixed by the method.
 """
 
 from __future__ import annotations
@@ -19,40 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tfr import GrayImage, Spectrogram
+from .tfr import Spectrogram
 
 
-@dataclass(frozen=True)
-class EnvelopeConfig:
-    """Knobs for envelope extraction.
-
-    ``sigma_upper``/``sigma_lower`` fix the threshold-to-energy ratios;
-    leaving them ``None`` calibrates each side on its strongest column
-    so the scan lands on the outer edge of the peak cell there.
-    ``band_energy_frac`` sets the effective-band energy coverage,
-    ``gate_factor`` the noise-floor multiple a column must reach, and
-    ``points_per_side`` the resampled length of each trace.
-    """
-
-    sigma_upper: float | None = None
-    sigma_lower: float | None = None
-    points_per_side: int = 100
-    band_energy_frac: float = 0.99
-    f_min_hz: float = 20.0
-    gate_factor: float = 3.0
-    peak_fraction: float = 0.5
-    fallback_sigma: float = 0.005
-
-    def __post_init__(self):
-        for s in (self.sigma_upper, self.sigma_lower):
-            if s is not None and not 0.0 < s < 1.0:
-                raise ValueError("sigma must lie strictly between 0 and 1")
-        if self.points_per_side < 8:
-            raise ValueError("need at least 8 points per side")
-        if not 0.0 < self.band_energy_frac <= 1.0:
-            raise ValueError("band energy fraction must be in (0, 1]")
-        if not 0.0 < self.peak_fraction < 1.0:
-            raise ValueError("peak fraction must be in (0, 1)")
+POINTS_PER_SIDE = 100  # the resampled length of each trace
+BAND_ENERGY_FRAC = 0.99  # the in-band energy share the effective band holds
+F_MIN_HZ = 20.0  # the half-width of the exclusion strip around 0 Hz
+GATE_FACTOR = 3.0  # the noise-floor multiple a column's energy must reach
+PEAK_FRACTION = 0.5  # the calibrated threshold's share of the peak cell
+FALLBACK_SIGMA = 0.005  # the sigma of a side with no ungated column
 
 
 @dataclass
@@ -109,23 +86,25 @@ def _scan_side(
     return out
 
 
-def extract(spec: Spectrogram, cfg: EnvelopeConfig = EnvelopeConfig()) -> EnvelopePair:
+def extract(spec: Spectrogram) -> EnvelopePair:
     """Extract the upper/lower envelope pair from a power spectrogram.
 
     Steps: normalize to unit peak; find the effective band as the
-    smallest symmetric frequency range holding ``band_energy_frac`` of
+    smallest symmetric frequency range holding ``BAND_ENERGY_FRAC`` of
     the squared-power energy outside the 20 Hz exclusion strip; gate
     columns against the noise floor (the smaller of the two sides'
-    median in-band energies, times ``gate_factor``); then scan each
+    median in-band energies, times ``GATE_FACTOR``); then scan each
     ungated column from the band edge inward for the first cell at or
-    above sigma times the column energy.  Traces are linearly resampled
-    to ``points_per_side`` samples.
+    above sigma times the column energy.  Each side's sigma is
+    calibrated on its strongest column, so the scan there lands on the
+    outer edge of the peak cell.  Traces are linearly resampled to
+    ``POINTS_PER_SIDE`` samples.
 
     Only the rows ``spec`` holds count: a band-limited spectrogram
     (``tfr.stft_power`` with a band) gives the envelope of that band.
     """
     peak = spec.power.max() if spec.power.size else 0.0
-    n_pts = cfg.points_per_side
+    n_pts = POINTS_PER_SIDE
     if spec.n_cols >= 2:
         grid = np.linspace(spec.time_s[0], spec.time_s[-1], n_pts)
     else:
@@ -138,13 +117,13 @@ def extract(spec: Spectrogram, cfg: EnvelopeConfig = EnvelopeConfig()) -> Envelo
     sq = s**2
     f = spec.freq_hz
     absf = np.abs(f)
-    in_band = absf >= cfg.f_min_hz
-    f_edge = _effective_band(sq, absf, in_band, cfg.band_energy_frac)
-    if f_edge < cfg.f_min_hz:
+    in_band = absf >= F_MIN_HZ
+    f_edge = _effective_band(sq, absf, in_band, BAND_ENERGY_FRAC)
+    if f_edge < F_MIN_HZ:
         return EnvelopePair(np.zeros(n_pts), np.zeros(n_pts), grid, bin_hz)
 
-    upper_rows = np.flatnonzero((f >= cfg.f_min_hz) & (f <= f_edge))
-    lower_rows = np.flatnonzero((f <= -cfg.f_min_hz) & (f >= -f_edge))
+    upper_rows = np.flatnonzero((f >= F_MIN_HZ) & (f <= f_edge))
+    lower_rows = np.flatnonzero((f <= -F_MIN_HZ) & (f >= -f_edge))
     e_upper = sq[upper_rows].sum(axis=0) if upper_rows.size else np.zeros(spec.n_cols)
     e_lower = sq[lower_rows].sum(axis=0) if lower_rows.size else np.zeros(spec.n_cols)
 
@@ -152,23 +131,21 @@ def extract(spec: Spectrogram, cfg: EnvelopeConfig = EnvelopeConfig()) -> Envelo
     # minimum keeps a side fully occupied by signal (no quiet columns at
     # all) from gating itself away.
     floor = min(float(np.median(e_upper)), float(np.median(e_lower)))
-    gate_u = (e_upper > 0) & (e_upper >= cfg.gate_factor * floor)
-    gate_l = (e_lower > 0) & (e_lower >= cfg.gate_factor * floor)
+    gate_u = (e_upper > 0) & (e_upper >= GATE_FACTOR * floor)
+    gate_l = (e_lower > 0) & (e_lower >= GATE_FACTOR * floor)
 
-    def side_sigma(fixed, rows, energy, gate):
-        if fixed is not None:
-            return fixed
+    def side_sigma(rows, energy, gate):
         if rows.size == 0 or not gate.any():
-            return cfg.fallback_sigma
+            return FALLBACK_SIGMA
         sub = s[np.ix_(rows, np.flatnonzero(gate))]
         r, c = np.unravel_index(np.argmax(sub), sub.shape)
         col = np.flatnonzero(gate)[c]
         if energy[col] <= 0:
-            return cfg.fallback_sigma
-        return cfg.peak_fraction * float(sub[r, c]) / float(energy[col])
+            return FALLBACK_SIGMA
+        return PEAK_FRACTION * float(sub[r, c]) / float(energy[col])
 
-    sig_u = side_sigma(cfg.sigma_upper, upper_rows, e_upper, gate_u)
-    sig_l = side_sigma(cfg.sigma_lower, lower_rows, e_lower, gate_l)
+    sig_u = side_sigma(upper_rows, e_upper, gate_u)
+    sig_l = side_sigma(lower_rows, e_lower, gate_l)
 
     raw_u = _scan_side(s, upper_rows, f[upper_rows], e_upper, gate_u, sig_u)
     raw_l = _scan_side(s, lower_rows, f[lower_rows], e_lower, gate_l, sig_l)
@@ -191,8 +168,8 @@ def envelope_image(
     spec: Spectrogram,
     env: EnvelopePair,
     size: tuple[int, int] = (100, 100),
-) -> GrayImage:
-    """Binary image with the envelope pair burned in.
+) -> np.ndarray:
+    """Binary (rows, cols) image with the envelope pair burned in.
 
     Per image column the pixel nearest (time, upper) and the pixel
     nearest (time, lower) are set to 1; rows map linearly onto the
@@ -202,10 +179,10 @@ def envelope_image(
     pixels = np.zeros((rows, cols))
     f_lo, f_hi = float(spec.freq_hz[0]), float(spec.freq_hz[-1])
     if f_hi == f_lo or env.time_s[-1] == env.time_s[0]:
-        return GrayImage(pixels)
+        return pixels
     t = np.linspace(env.time_s[0], env.time_s[-1], cols)
     for trace in (env.upper_hz, env.lower_hz):
         vals = np.interp(t, env.time_s, trace)
         r = np.round((vals - f_lo) / (f_hi - f_lo) * (rows - 1)).astype(int)
         pixels[np.clip(r, 0, rows - 1), np.arange(cols)] = 1.0
-    return GrayImage(pixels)
+    return pixels

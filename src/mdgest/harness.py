@@ -25,6 +25,11 @@ from .simulate import STREAM_KMEANS, STREAM_SPLIT, STREAM_SVM, Dataset, GestureL
 
 FEATURE_KINDS = ("envelope", "empirical", "trajectory", "pca-spec", "pca-envimg", "pca-env")
 CLASSIFIER_KINDS = ("nn-l1", "nn-l2", "nn-emd", "nn-mhd", "svm")
+# The gray images of ``pca-spec`` and ``pca-envimg``: pixels, the dB span
+# below the peak, and the |f| radius of the rows they show.
+IMAGE_SIZE = (100, 100)
+IMAGE_DYN_DB = 25.0
+IMAGE_BAND_HZ = 640.0
 
 
 @dataclass(frozen=True)
@@ -46,13 +51,9 @@ class PipelineConfig:
     classifier: str = "nn-l1"
     stft: tfr.StftConfig = field(default_factory=tfr.StftConfig)
     pbc: segmentation.PbcConfig = field(default_factory=segmentation.PbcConfig)
-    env: envelope.EnvelopeConfig = field(default_factory=envelope.EnvelopeConfig)
     recenter: bool = True
     pca_dim: int = 30
     trajectory_points: int = 10
-    image_size: tuple[int, int] = (100, 100)
-    image_dyn_db: float = 25.0
-    image_band_hz: float = 640.0
     svm_lambda: float = 1e-4
     svm_epochs: int = 200
 
@@ -61,8 +62,9 @@ class PipelineConfig:
             raise ValueError(f"unknown feature kind: {self.features!r}")
         if self.classifier not in CLASSIFIER_KINDS:
             raise ValueError(f"unknown classifier: {self.classifier!r}")
-        if self.features.startswith("pca-") and self.classifier == "nn-mhd":
-            raise ValueError("modified Hausdorff does not apply to PCA coefficients")
+        # MHD needs point sets; the SVM would train on the rows without PCA.
+        if self.features.startswith("pca-") and self.classifier in ("nn-mhd", "svm"):
+            raise ValueError(f"{self.features} takes nn-l1, nn-l2 or nn-emd, not {self.classifier}")
         if self.pca_dim < 1:
             raise ValueError("pca_dim must be positive")
 
@@ -70,7 +72,7 @@ class PipelineConfig:
     def band_hz(self) -> float:
         """The |f| radius of the spectrogram rows that every feature kind
         reads: the image band or the burst-curve band, whichever is wider."""
-        return max(self.image_band_hz, self.pbc.band_hz)
+        return max(IMAGE_BAND_HZ, self.pbc.band_hz)
 
     @property
     def min_rate_hz(self) -> float:
@@ -143,9 +145,15 @@ def split(
     return np.sort(np.concatenate(train)), np.sort(np.concatenate(test))
 
 
+def _labels(records) -> np.ndarray:
+    """Each record's class, or -1 for a record without a label."""
+    return np.array([-1 if r.label is None else int(r.label) for r in records])
+
+
 @dataclass
 class FeatureTable:
-    """Per-record features of one kind, aligned with labels."""
+    """Per-record features of one kind, aligned with labels (-1 where a
+    record has none)."""
 
     kind: str
     labels: np.ndarray
@@ -191,7 +199,7 @@ def _record_features(record, pipe: PipelineConfig, kinds: tuple[str, ...]) -> di
     out: dict = {}
     env = None
     if {"envelope", "empirical", "pca-env", "pca-envimg"} & set(kinds):
-        env = envelope.extract(spec, pipe.env)
+        env = envelope.extract(spec)
 
     for kind in ("envelope", "pca-env"):
         if kind in kinds:
@@ -208,15 +216,15 @@ def _record_features(record, pipe: PipelineConfig, kinds: tuple[str, ...]) -> di
             seg.raw, pipe.trajectory_points, band_hz=(pipe.pbc.pos_lo_hz, pipe.pbc.pos_hi_hz)
         )
     if "pca-spec" in kinds or "pca-envimg" in kinds:
-        cropped = spec.crop_band(pipe.image_band_hz)
+        cropped = spec.crop_band(IMAGE_BAND_HZ)
         if "pca-spec" in kinds:
-            img = tfr.to_gray(cropped, pipe.image_size, pipe.image_dyn_db)
-            out["pca-spec"] = tfr.vectorize(img).astype(np.float32)
+            img = tfr.to_gray(cropped, IMAGE_SIZE, IMAGE_DYN_DB)
+            out["pca-spec"] = img.ravel().astype(np.float32)
         if "pca-envimg" in kinds:
             # Its pixels are exactly 0 or 1; ``subspace.gram`` reads the
             # table in float64, so a byte each loses nothing.
-            img = envelope.envelope_image(cropped, env, pipe.image_size)
-            out["pca-envimg"] = tfr.vectorize(img).astype(np.uint8)
+            img = envelope.envelope_image(cropped, env, IMAGE_SIZE)
+            out["pca-envimg"] = img.ravel().astype(np.uint8)
     return out
 
 
@@ -255,7 +263,7 @@ def extract_features(
     if not records:
         raise ValueError("no records to extract features from")
     check_records(records, pipe)
-    labels = np.array([int(r.label) for r in records])
+    labels = _labels(records)
 
     # Each vector kind's rows land in one table as results arrive, so no
     # per-record copies outlive the loop; trajectories stay objects.
@@ -422,7 +430,9 @@ def evaluate(
     if features_table is not None:
         labels = features_table.labels
     else:
-        labels = np.array([int(r.label) for r in records])
+        labels = _labels(records)
+    if (labels < 0).any():
+        raise RecordError(f"{int((labels < 0).sum())} of {len(labels)} records have no label")
     classes = np.unique(labels)
     if predictor is None:
         predictor = _make_predictor(features_table, pipe, protocol)

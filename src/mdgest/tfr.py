@@ -188,17 +188,6 @@ def spectrogram(
     return stft_power(record.samples, record.sample_rate_hz, cfg, band_hz)
 
 
-@dataclass
-class GrayImage:
-    """Pixels in [0, 1]; rows follow the source frequency axis."""
-
-    pixels: np.ndarray
-
-    @property
-    def size(self) -> tuple[int, int]:
-        return self.pixels.shape
-
-
 def _resample_axis(a: np.ndarray, n_out: int, axis: int) -> np.ndarray:
     n_in = a.shape[axis]
     if n_out < 1:
@@ -226,32 +215,28 @@ def to_gray(
     spec: Spectrogram,
     size: tuple[int, int] = (100, 100),
     dyn_range_db: float = 50.0,
-) -> GrayImage:
-    """Log-scale the power matrix into a [0, 1] image.
+) -> np.ndarray:
+    """Log-scale the power matrix into a (rows, cols) image in [0, 1].
 
     Values are clipped to ``dyn_range_db`` below the peak before the
     affine map, so an all-zero spectrogram yields a zero image and a
-    constant one saturates to all ones.
+    constant one saturates to all ones.  Rows follow the source
+    frequency axis.
     """
     if dyn_range_db <= 0:
         raise ValueError("dynamic range must be positive")
     peak = spec.power.max() if spec.power.size else 0.0
     if peak <= 0.0:
-        return GrayImage(np.zeros(size))
+        return np.zeros(size)
     with np.errstate(divide="ignore"):
         db = 10.0 * np.log10(spec.power / peak)
     img = 1.0 + np.maximum(db, -dyn_range_db) / dyn_range_db
-    return GrayImage(resize_bilinear(img, size))
+    return resize_bilinear(img, size)
 
 
-def vectorize(img: GrayImage) -> np.ndarray:
-    """Row-major pixel vector of length rows*cols."""
-    return img.pixels.ravel(order="C").copy()
-
-
-def write_pgm(img: GrayImage, path) -> None:
+def write_pgm(pixels: np.ndarray, path) -> None:
     """Binary 8-bit PGM; the top image row is the highest frequency."""
-    pixels = np.flipud(np.clip(img.pixels, 0.0, 1.0))
+    pixels = np.flipud(np.clip(pixels, 0.0, 1.0))
     data = np.round(pixels * 255.0).astype(np.uint8)
     h, w = data.shape
     with open(path, "wb") as fh:

@@ -217,13 +217,13 @@ class TestEnvelope:
         record = IQRecord((rec.samples + tone).astype("<c8"), rec.sample_rate_hz, rec.label)
         got = self.run(record, tmp_path)
         pipe = PipelineConfig()
-        want = extract(segment(record, pipe, recenter=True).spec, pipe.env)
+        want = extract(segment(record, pipe, recenter=True).spec)
         assert got["upper_hz"] + got["lower_hz"] == eval_row(record)
         assert got["upper_hz"] == want.upper_hz.tolist()
         assert got["lower_hz"] == want.lower_hz.tolist()
         assert got["time_s"] == want.time_s.tolist()
         burst = bursts(tfr.spectrogram(record, pipe.stft, pipe.band_hz), pipe.pbc)[1]
-        full = extract(recentre(record, tfr.spectrogram(record, pipe.stft), burst, pipe.stft), pipe.env)
+        full = extract(recentre(record, tfr.spectrogram(record, pipe.stft), burst, pipe.stft))
         assert got["upper_hz"] != full.upper_hz.tolist()
 
     def test_traces_are_the_eval_envelope_row(self, twelve_records, tmp_path):
@@ -250,7 +250,7 @@ class TestEnvelope:
         seg = segment(record, pipe, recenter=True)
         assert seg.intervals == [] and seg.spec is seg.raw
         got = self.run(record, tmp_path)
-        want = extract(tfr.spectrogram(record, pipe.stft, pipe.band_hz), pipe.env)
+        want = extract(tfr.spectrogram(record, pipe.stft, pipe.band_hz))
         assert got["upper_hz"] + got["lower_hz"] == eval_row(record)
         assert got["upper_hz"] == want.upper_hz.tolist()
         assert got["lower_hz"] == want.lower_hz.tolist()
@@ -266,9 +266,9 @@ class TestEnvelope:
             spec = segment(rec, PipelineConfig(), recenter=True).spec
             cropped = spec.crop_band(640.0)
             img = tfr.to_gray(cropped, (100, 100), 25.0)
-            marks = envelope_image(cropped, extract(spec), (100, 100))
-            assert (marks.pixels > 0).any() and (img.pixels[marks.pixels > 0] < 1.0).any()
-            img.pixels[marks.pixels > 0] = 1.0
+            marks = envelope_image(cropped, extract(spec), (100, 100)) > 0
+            assert marks.any() and (img[marks] < 1.0).any()
+            img[marks] = 1.0
             tfr.write_pgm(img, tmp_path / "want.pgm")
             assert overlay.read_bytes() == (tmp_path / "want.pgm").read_bytes(), rec.record_id
 
@@ -422,7 +422,7 @@ class TestSampleRate:
             runs[rate] = (json.loads(out.read_text()), json.loads((segs / "segments.json").read_text()))
         (env, segs), (slow_env, slow_segs) = runs["25600"], runs[None]
         pipe = PipelineConfig()
-        want = extract(segment(rec, pipe, recenter=True).spec, pipe.env)
+        want = extract(segment(rec, pipe, recenter=True).spec)
         assert env["upper_hz"] + env["lower_hz"] == eval_row(rec)
         assert env["upper_hz"] == want.upper_hz.tolist()
         assert env["lower_hz"] == want.lower_hz.tolist()
@@ -609,6 +609,14 @@ class TestEval:
     def test_bad_classifier_is_config_error(self, tiny_dataset_dir, tmp_path):
         rc = main(["eval", "--in", str(tiny_dataset_dir), "--classifier", "tree"])
         assert rc == 2
+
+    def test_svm_on_pca_features_is_config_error(self, tiny_dataset_dir, tmp_path, capsys):
+        rc, _, _ = self.run_eval(
+            tiny_dataset_dir, tmp_path, ["--features", "pca-spec", "--classifier", "svm"]
+        )
+        assert rc == 2
+        assert "pca-spec" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_config_file_overrides_flags(self, tiny_dataset_dir, tmp_path):
         cfgfile = tmp_path / "cfg.json"

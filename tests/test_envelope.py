@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from mdgest.envelope import (
-    EnvelopeConfig,
+    F_MIN_HZ,
     EnvelopePair,
     _effective_band,
+    _scan_side,
     envelope_image,
     extract,
     to_feature,
@@ -112,13 +113,19 @@ class TestSigmaControl:
             power[np.argmin(np.abs(FREQ - 200.0)), j] = 0.4
         return toy_spec(power)
 
+    def scan_upper(self, sigma):
+        """The upper side's per-column scan of the pair at a given sigma,
+        over the rows up to the 200 Hz cell, gating only silent columns."""
+        s = self.column_pair_spec().power
+        rows = np.flatnonzero((FREQ >= F_MIN_HZ) & (FREQ <= 200.0))
+        energy = (s[rows] ** 2).sum(axis=0)
+        return _scan_side(s, rows, FREQ[rows], energy, energy > 0, sigma)
+
     def test_low_sigma_reaches_the_weak_outer_cell(self):
-        env = extract(self.column_pair_spec(), EnvelopeConfig(sigma_upper=0.3))
-        assert env.upper_hz.max() == pytest.approx(200.0)
+        assert self.scan_upper(0.3).max() == pytest.approx(200.0)
 
     def test_high_sigma_stops_at_the_strong_inner_cell(self):
-        env = extract(self.column_pair_spec(), EnvelopeConfig(sigma_upper=0.6))
-        assert env.upper_hz.max() == pytest.approx(100.0)
+        assert self.scan_upper(0.6).max() == pytest.approx(100.0)
 
     def test_auto_sigma_lands_on_peak_cell_edge(self):
         # Calibrated sigma puts the threshold at half the peak cell of the
@@ -201,38 +208,16 @@ class TestEnvelopeImage:
         expect = np.zeros((5, 4))
         expect[r_up, :] = 1.0
         expect[r_low, :] = 1.0
-        np.testing.assert_array_equal(img.pixels, expect)
+        np.testing.assert_array_equal(img, expect)
 
     def test_coincident_traces_mark_one_pixel_per_column(self):
         spec = toy_spec(np.ones((FREQ.size, 3)))
         env = EnvelopePair(np.zeros(3), np.zeros(3), spec.time_s, 10.0)
         img = envelope_image(spec, env, size=(9, 3))
-        assert img.pixels.sum() == 3.0
+        assert img.sum() == 3.0
 
     def test_degenerate_time_axis_gives_blank(self):
         spec = toy_spec(np.ones((FREQ.size, 1)))
         env = EnvelopePair(np.zeros(2), np.zeros(2), np.zeros(2), 10.0)
-        assert envelope_image(spec, env, size=(8, 8)).pixels.sum() == 0.0
+        assert envelope_image(spec, env, size=(8, 8)).sum() == 0.0
 
-
-class TestConfigValidation:
-    @pytest.mark.parametrize("sigma", [0.0, 1.0, -0.5, 2.0])
-    def test_sigma_bounds(self, sigma):
-        with pytest.raises(ValueError):
-            EnvelopeConfig(sigma_upper=sigma)
-        with pytest.raises(ValueError):
-            EnvelopeConfig(sigma_lower=sigma)
-
-    def test_points_floor(self):
-        with pytest.raises(ValueError):
-            EnvelopeConfig(points_per_side=7)
-
-    @pytest.mark.parametrize("frac", [0.0, 1.2])
-    def test_band_fraction_bounds(self, frac):
-        with pytest.raises(ValueError):
-            EnvelopeConfig(band_energy_frac=frac)
-
-    @pytest.mark.parametrize("pf", [0.0, 1.0])
-    def test_peak_fraction_bounds(self, pf):
-        with pytest.raises(ValueError):
-            EnvelopeConfig(peak_fraction=pf)

@@ -8,6 +8,9 @@ import pytest
 from mdgest import envelope, features, segmentation, subspace, tfr
 from mdgest.harness import (
     FEATURE_KINDS,
+    IMAGE_BAND_HZ,
+    IMAGE_DYN_DB,
+    IMAGE_SIZE,
     ConfusionMatrix,
     EvalProtocol,
     FeatureTable,
@@ -101,6 +104,12 @@ class TestPipelineConfig:
         with pytest.raises(ValueError):
             PipelineConfig(features="pca-spec", classifier="nn-mhd")
 
+    @pytest.mark.parametrize("kind", ["pca-spec", "pca-envimg", "pca-env"])
+    def test_svm_does_not_take_pca_features(self, kind):
+        """The SVM would train on the raw rows and never apply PCA."""
+        with pytest.raises(ValueError, match=f"{kind} takes nn-l1, nn-l2 or nn-emd, not svm"):
+            PipelineConfig(features=kind, classifier="svm")
+
     def test_dimension_validated(self):
         with pytest.raises(ValueError):
             PipelineConfig(pca_dim=0)
@@ -172,15 +181,15 @@ def full_spectrogram_features(record, pipe, kinds):
             iv = strongest_interval(curve, spec.time_s, intervals)
             record = segmentation.window(record, iv, record.duration_s)
             spec = one_shot_spectrogram(record, pipe.stft)
-    band = max(pipe.image_band_hz, pipe.pbc.band_hz)
-    env = envelope.extract(band_rows(spec, band), pipe.env)
+    band = max(IMAGE_BAND_HZ, pipe.pbc.band_hz)
+    env = envelope.extract(band_rows(spec, band))
     curve = segmentation.smooth(segmentation.pbc(spec, pipe.pbc), pipe.pbc.smooth_len)
     intervals = segmentation.detect(curve, spec.time_s, pipe.pbc)
     if intervals:
         iv = strongest_interval(curve, spec.time_s, intervals)
     else:
         iv = segmentation.MotionInterval(0.0, record.duration_s)
-    cropped = spec.crop_band(pipe.image_band_hz)
+    cropped = spec.crop_band(IMAGE_BAND_HZ)
     vec = envelope.to_feature(env)
     return {
         "envelope": vec,
@@ -189,12 +198,8 @@ def full_spectrogram_features(record, pipe, kinds):
         "trajectory": features.trajectory(
             raw_spec, pipe.trajectory_points, band_hz=(pipe.pbc.pos_lo_hz, pipe.pbc.pos_hi_hz)
         ),
-        "pca-spec": tfr.vectorize(
-            tfr.to_gray(cropped, pipe.image_size, pipe.image_dyn_db)
-        ).astype(np.float32),
-        "pca-envimg": tfr.vectorize(
-            envelope.envelope_image(cropped, env, pipe.image_size)
-        ).astype(np.uint8),
+        "pca-spec": tfr.to_gray(cropped, IMAGE_SIZE, IMAGE_DYN_DB).ravel().astype(np.float32),
+        "pca-envimg": envelope.envelope_image(cropped, env, IMAGE_SIZE).ravel().astype(np.uint8),
     }
 
 
@@ -234,9 +239,11 @@ class TestBandSpectrogramFeatures:
     def test_every_kind_equals_full_spectrogram_oracle(self, twelve_records, recenter):
         self.assert_tables_match_oracle(twelve_records, PipelineConfig(recenter=recenter))
 
-    @pytest.mark.parametrize("image_band_hz", [300.0, 100.0])
-    def test_narrow_image_band_still_covers_burst_band(self, twelve_records, image_band_hz):
-        pipe = PipelineConfig(image_band_hz=image_band_hz)
+    def test_narrow_image_band_still_covers_burst_band(self, twelve_records):
+        """A burst band wider than the image band: the envelope and the
+        burst curve read the wider one, the images the 640 Hz one."""
+        pipe = PipelineConfig(pbc=segmentation.PbcConfig(neg_lo_hz=-700.0, pos_hi_hz=700.0))
+        assert pipe.band_hz == 700.0 > IMAGE_BAND_HZ
         self.assert_tables_match_oracle(twelve_records[::3], pipe)
 
 
@@ -408,6 +415,24 @@ class TestExtractFeatures:
         np.testing.assert_array_equal(
             table.labels, [int(r.label) for r in twelve_records]
         )
+
+    def test_record_without_a_label_gets_minus_one_and_its_row(self, twelve_records):
+        rec = twelve_records[3]
+        bare = IQRecord(rec.samples, rec.sample_rate_hz)
+        kinds = ("envelope", "trajectory")
+        got = extract_features([bare, rec], PipelineConfig(), kinds=kinds)
+        want = extract_features([rec], PipelineConfig(), kinds=kinds)
+        for k in kinds:
+            np.testing.assert_array_equal(got[k].labels, [-1, int(rec.label)])
+            np.testing.assert_array_equal(got[k].vectors[0], want[k].vectors[0])
+
+    def test_evaluate_rejects_records_without_a_label(self, twelve_records):
+        records = [IQRecord(r.samples, r.sample_rate_hz) for r in twelve_records[:2]]
+        records += twelve_records[2:]
+        table = extract_features(records, PipelineConfig())["envelope"]
+        for kwargs in ({}, {"features_table": table}):
+            with pytest.raises(RecordError, match="2 of 12 records have no label"):
+                evaluate(records, PipelineConfig(), EvalProtocol(trials=1), **kwargs)
 
 
 class TestConfusionMatrix:
@@ -671,6 +696,22 @@ class TestReport:
         payload = json.loads(b1)
         assert payload["config_hash"] == "cafe"
         assert payload["pipeline"]["classifier"] == "nn-l1"
+
+    def test_pipeline_lists_exactly_the_settings(self):
+        """A new setting reaches every report and its hash, so adding one
+        is a deliberate change of this list."""
+        payload = report(self.make_cm(), PipelineConfig())
+        assert sorted(payload["pipeline"]) == [
+            "classifier",
+            "features",
+            "pbc",
+            "pca_dim",
+            "recenter",
+            "stft",
+            "svm_epochs",
+            "svm_lambda",
+            "trajectory_points",
+        ]
 
     def test_floats_rounded_to_microunits(self):
         cm = self.make_cm()

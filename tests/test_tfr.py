@@ -16,7 +16,6 @@ from mdgest.tfr import (
     _CHUNK_COLS,
     _block_power,
     _block_twiddles,
-    GrayImage,
     Spectrogram,
     StftConfig,
     resize_bilinear,
@@ -24,7 +23,6 @@ from mdgest.tfr import (
     spectrogram_to_csv,
     stft_power,
     to_gray,
-    vectorize,
     write_pgm,
 )
 
@@ -358,27 +356,27 @@ class TestGrayImage:
         power = np.array([[1.0, 1e-6], [1e-12, 0.0]])
         spec = Spectrogram(power, np.array([0.0, 1.0]), np.array([-1.0, 1.0]))
         img = to_gray(spec, size=(2, 2), dyn_range_db=50.0)
-        assert img.pixels[0, 0] == pytest.approx(1.0)
-        assert img.pixels[0, 1] == pytest.approx(1.0 - 60.0 / 50.0 + 10.0 / 50.0)  # -60 dB clipped to -50
-        assert img.pixels[1, 0] == pytest.approx(0.0)  # -120 dB, clipped
-        assert img.pixels[1, 1] == pytest.approx(0.0)  # log of zero, clipped
+        assert img[0, 0] == pytest.approx(1.0)
+        assert img[0, 1] == pytest.approx(1.0 - 60.0 / 50.0 + 10.0 / 50.0)  # -60 dB clipped to -50
+        assert img[1, 0] == pytest.approx(0.0)  # -120 dB, clipped
+        assert img[1, 1] == pytest.approx(0.0)  # log of zero, clipped
 
     def test_zero_spectrogram_is_black(self):
         spec = Spectrogram(np.zeros((4, 5)), np.arange(5.0), np.linspace(-1, 1, 4))
         img = to_gray(spec, size=(3, 3))
-        assert np.all(img.pixels == 0.0)
+        assert np.all(img == 0.0)
 
     def test_constant_spectrogram_is_white(self):
         spec = Spectrogram(np.full((4, 5), 2.5), np.arange(5.0), np.linspace(-1, 1, 4))
         img = to_gray(spec, size=(4, 4))
-        np.testing.assert_allclose(img.pixels, 1.0)
+        np.testing.assert_allclose(img, 1.0)
 
     def test_pixels_bounded(self):
         rng = np.random.Generator(np.random.PCG64(7))
         spec = Spectrogram(rng.random((30, 40)), np.arange(40.0), np.linspace(-1, 1, 30))
         img = to_gray(spec, size=(10, 12), dyn_range_db=25.0)
-        assert img.size == (10, 12)
-        assert img.pixels.min() >= 0.0 and img.pixels.max() <= 1.0
+        assert img.shape == (10, 12)
+        assert img.min() >= 0.0 and img.max() <= 1.0
 
     def test_rejects_nonpositive_dyn_range(self):
         spec = Spectrogram(np.ones((2, 2)), np.arange(2.0), np.array([-1.0, 1.0]))
@@ -417,15 +415,8 @@ class TestResize:
 
 
 class TestSerialization:
-    def test_vectorize_row_major(self):
-        img = GrayImage(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        np.testing.assert_array_equal(vectorize(img), [1.0, 2.0, 3.0, 4.0])
-        v = vectorize(img)
-        v[0] = -1.0
-        assert img.pixels[0, 0] == 1.0  # a copy, not a view
-
     def test_write_pgm_layout(self, tmp_path):
-        img = GrayImage(np.array([[0.0, 0.5], [1.0, 0.25]]))
+        img = np.array([[0.0, 0.5], [1.0, 0.25]])
         path = tmp_path / "x.pgm"
         write_pgm(img, path)
         raw = path.read_bytes()
