@@ -239,11 +239,13 @@ class TestBandSpectrogramFeatures:
     def test_every_kind_equals_full_spectrogram_oracle(self, twelve_records, recenter):
         self.assert_tables_match_oracle(twelve_records, PipelineConfig(recenter=recenter))
 
-    def test_narrow_image_band_still_covers_burst_band(self, twelve_records):
+    @pytest.mark.parametrize("excess_hz", [300.0, 100.0])
+    def test_narrow_image_band_still_covers_burst_band(self, twelve_records, excess_hz):
         """A burst band wider than the image band: the envelope and the
         burst curve read the wider one, the images the 640 Hz one."""
-        pipe = PipelineConfig(pbc=segmentation.PbcConfig(neg_lo_hz=-700.0, pos_hi_hz=700.0))
-        assert pipe.band_hz == 700.0 > IMAGE_BAND_HZ
+        burst_hz = IMAGE_BAND_HZ + excess_hz
+        pipe = PipelineConfig(pbc=segmentation.PbcConfig(neg_lo_hz=-burst_hz, pos_hi_hz=burst_hz))
+        assert pipe.band_hz == burst_hz > IMAGE_BAND_HZ
         self.assert_tables_match_oracle(twelve_records[::3], pipe)
 
 
